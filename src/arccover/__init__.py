@@ -4,8 +4,6 @@ __version__ = "0.1.0"
 
 from .tails import TailFunction, TailMoments, parse_tail, karamata_ratio, rv_limit_probe, moment_diagnostic, cf_estimate
 from .torus import (
-    TorusCoverState,
-    NaiveCoverState,
     CoverResult,
     run_to_cover,
     snapshot_vacant,
@@ -20,11 +18,9 @@ from .circle import (
     vacant_set,
     is_covered,
     count_missing_lattice,
-    pi_hat,
     project_W,
     project_X,
     shepp_series,
-    dimension_estimate,
 )
 from .stats import (
     EmpiricalDistribution,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import derive_seed, generator
+from .seeding import generator
 from .torus import covered_mask
 
 __all__ = [
@@ -24,11 +24,9 @@ __all__ = [
     "vacant_set",
     "is_covered",
     "count_missing_lattice",
-    "pi_hat",
     "project_W",
     "project_X",
     "shepp_series",
-    "dimension_estimate",
 ]
 
 
@@ -194,23 +192,6 @@ def count_missing_lattice(config: CircleConfiguration, n: int) -> int:
     return int(np.count_nonzero(_lattice_vacant(config, n)))
 
 
-def pi_hat(alpha: float, n: int, replicates: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the covering probability at truncation 1/n.
-
-    Returns (fraction covered, 95% binomial half-width).
-    """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    hits = 0
-    for rep in range(replicates):
-        config = sample_truncated(alpha, 1.0 / n, derive_seed(seed, n, rep))
-        if is_covered(config):
-            hits += 1
-    p = hits / replicates
-    half = 1.96 * math.sqrt(p * (1.0 - p) / replicates)
-    return p, half
-
-
 # -- coupled discrete projections --------------------------------------------
 
 
@@ -299,21 +280,3 @@ def shepp_series(lengths, N: int):
         cls = INCONCLUSIVE
     return partial, cls
 
-
-def dimension_estimate(alpha: float, n: int, replicates: int, seed: int) -> tuple[float, int]:
-    """Conditional mean of ln Z_n / ln n over non-covered configurations.
-
-    Rejection-samples configurations truncated at 1/n, keeping those with
-    Z_n > 0. Raises when fewer than 30 are accepted.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    logs = []
-    for rep in range(replicates):
-        config = sample_truncated(alpha, 1.0 / n, derive_seed(seed, n, rep))
-        z = count_missing_lattice(config, n)
-        if z > 0:
-            logs.append(math.log(z) / math.log(n))
-    if len(logs) < 30:
-        raise RuntimeError(f"insufficient acceptances: {len(logs)} non-covered configurations < 30")
-    return float(np.mean(logs)), len(logs)

@@ -11,10 +11,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .circle import CONVERGING, DIVERGING, dimension_estimate, pi_hat, shepp_series
+from .circle import CONVERGING, DIVERGING, shepp_series
 from .experiments import (
+    COVER_PHASES,
     DEFAULT_BASE_SEED,
     ExperimentConfig,
     PRESETS,
@@ -22,7 +21,6 @@ from .experiments import (
     run_experiment,
     vacancy_frequency,
 )
-from .seeding import derive_seed
 from .tails import cf_estimate, karamata_ratio, parse_tail, rv_limit_probe
 from .torus import pair_vacancy_exact, vacancy_probability_exact
 
@@ -53,38 +51,32 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v.strip()) for v in text.split(",") if v.strip())
 
 
+# config-file key, which is also the attribute of the flag that overrides it
+# -> (ExperimentConfig field, parser of the file value)
+_CONFIG_FIELDS = {
+    "phase": ("phase", str),
+    "tail": ("tail", str),
+    "n": ("n_list", _int_list),
+    "replicates": ("replicates", int),
+    "seed": ("base_seed", int),
+    "alpha": ("alpha_list", _float_list),
+    "out": ("output_path", str),
+}
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
+    """ExperimentConfig fields from the --config file, overridden by the flags given."""
+    raw = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; known keys are {sorted(_CONFIG_FIELDS)}")
     merged: dict = {}
-    if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        if "phase" in raw:
-            merged["phase"] = raw["phase"]
-        if "tail" in raw:
-            merged["tail"] = raw["tail"]
-        if "n" in raw:
-            merged["n_list"] = _int_list(raw["n"])
-        if "replicates" in raw:
-            merged["replicates"] = int(raw["replicates"])
-        if "seed" in raw:
-            merged["base_seed"] = int(raw["seed"])
-        if "alpha" in raw:
-            merged["alpha_list"] = _float_list(raw["alpha"])
-        if "out" in raw:
-            merged["output_path"] = raw["out"]
-    if getattr(args, "phase", None):
-        merged["phase"] = args.phase
-    if getattr(args, "tail", None):
-        merged["tail"] = args.tail
-    if getattr(args, "n", None):
-        merged["n_list"] = tuple(args.n)
-    if getattr(args, "replicates", None):
-        merged["replicates"] = args.replicates
-    if getattr(args, "seed", None) is not None:
-        merged["base_seed"] = args.seed
-    if getattr(args, "alpha", None):
-        merged["alpha_list"] = tuple(args.alpha)
-    if getattr(args, "out", None):
-        merged["output_path"] = args.out
+    for key, (field, parse) in _CONFIG_FIELDS.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            merged[field] = tuple(flag) if isinstance(flag, list) else flag
+        elif key in raw:
+            merged[field] = parse(raw[key])
     return merged
 
 
@@ -132,6 +124,15 @@ def _cmd_cover(args) -> int:
     return EXIT_OK
 
 
+def _emit_json(result: dict, out: str | None) -> None:
+    """Print ``result`` as JSON; also write it to ``out`` when given."""
+    text = json.dumps(result, indent=2, sort_keys=True)
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text + "\n")
+    print(text)
+
+
 def _cmd_snapshot(args) -> int:
     tail = parse_tail(args.tail)
     n = args.n[0]
@@ -159,11 +160,7 @@ def _cmd_snapshot(args) -> int:
         "pair_frequency": joint,
         "pair_exact": exact_pair,
     }
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _emit_json(result, args.out)
     if args.assert_gates:
         sd0 = math.sqrt(exact0 * (1 - exact0) / args.replicates)
         sdp = math.sqrt(exact_pair * (1 - exact_pair) / args.replicates)
@@ -179,7 +176,8 @@ def _cmd_pi(args) -> int:
         config = preset_config("shepp_pi", base_seed=args.seed, output_path=args.out)
     else:
         merged = _merge_config(args)
-        merged.setdefault("phase", "shepp_pi")
+        if merged.setdefault("phase", "shepp_pi") != "shepp_pi":
+            raise ValueError(f"pi runs the shepp_pi phase, not {merged['phase']!r}")
         config = ExperimentConfig(**merged)
     paths, summary = run_experiment(config, workers=args.workers)
     print(f"wrote {paths['csv']} {paths['summary']}")
@@ -191,17 +189,17 @@ def _cmd_pi(args) -> int:
 def _cmd_dimension(args) -> int:
     alpha = args.alpha[0] if args.alpha else 0.5
     n = args.n[0]
-    try:
-        mean_exp, accepted = dimension_estimate(alpha, n, args.replicates, args.seed)
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
+    config = ExperimentConfig(phase="dimension", alpha_list=(alpha,), n_list=(n,), replicates=args.replicates,
+                              base_seed=args.seed, output_path=args.out or "results/dimension")
+    _, summary = run_experiment(config, workers=args.workers)
+    [group] = summary["groups"].values()
+    accepted = group["accepted"]
+    if accepted < 30:
+        print(f"insufficient acceptances: {accepted} non-covered configurations < 30", file=sys.stderr)
         return EXIT_VALIDATION
+    mean_exp = group["conditional_mean_exponent"]
     result = {"alpha": alpha, "n": n, "conditional_mean_exponent": mean_exp, "accepted": accepted}
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _emit_json(result, args.out)
     if args.assert_gates and abs(mean_exp - (1.0 - alpha)) > 0.1:
         print(f"GATE FAIL: exponent {mean_exp:.4f} not within 0.1 of {1 - alpha:g}")
         return EXIT_GATE
@@ -258,41 +256,49 @@ def _cmd_karamata(args) -> int:
     return EXIT_OK
 
 
+# settable flags; each subcommand takes only those it reads
+_FLAGS = {
+    "config": ("--config", dict(help="key = value config file; flags override its values")),
+    "phase": ("--phase", dict(choices=COVER_PHASES)),
+    "tail": ("--tail", dict(help="const:<c> geom:<q> logpow:<b> pow:<p> slowlog")),
+    "n": ("--n", dict(type=int, action="append", help="torus size (repeatable)")),
+    "replicates": ("--replicates", dict(type=int)),
+    "seed": ("--seed", dict(type=int, help=f"base seed (default {DEFAULT_BASE_SEED})")),
+    "alpha": ("--alpha", dict(type=float, action="append")),
+    "out": ("--out", dict(help="output path stem")),
+    "workers": ("--workers", dict(type=int, default=1)),
+    "assert": ("--assert", dict(dest="assert_gates", action="store_true", help="exit 3 when the gate fails")),
+}
+
+
+def _add_flags(parser, names, required=()):
+    for name in names:
+        flag, kwargs = _FLAGS[name]
+        parser.add_argument(flag, required=name in required, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="arccover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tail_required=False):
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--phase", choices=("gumbel", "compact", "bstar", "preexp", "exponential"))
-        p.add_argument("--tail", required=tail_required, help="const:<c> geom:<q> logpow:<b> pow:<p> slowlog")
-        p.add_argument("--n", type=int, action="append", help="torus size (repeatable)")
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED)
-        p.add_argument("--alpha", type=float, action="append")
-        p.add_argument("--out", help="output path stem")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--assert", dest="assert_gates", action="store_true",
-                       help="exit 3 when the phase gate fails")
-
     p_cover = sub.add_parser("cover", help="cover-time experiment for one phase")
-    common(p_cover)
+    _add_flags(p_cover, ("config", "phase", "tail", "n", "replicates", "seed", "alpha", "out", "workers", "assert"))
     p_cover.add_argument("--preset", choices=sorted(PRESETS), help="named preset grid")
     p_cover.set_defaults(fn=_cmd_cover)
 
     p_snap = sub.add_parser("snapshot", help="timed vacancy snapshot vs exact formulas")
-    common(p_snap, tail_required=True)
+    _add_flags(p_snap, ("tail", "n", "replicates", "seed", "alpha", "out", "assert"), required=("tail", "n"))
     p_snap.add_argument("--time", type=float, help="absolute Poisson time t")
-    p_snap.set_defaults(fn=_cmd_snapshot, replicates=200)
+    p_snap.set_defaults(fn=_cmd_snapshot, replicates=200, seed=DEFAULT_BASE_SEED)
 
     p_pi = sub.add_parser("pi", help="Monte Carlo covering probability pi_hat")
-    common(p_pi)
+    _add_flags(p_pi, ("config", "n", "replicates", "seed", "alpha", "out", "workers"))
     p_pi.add_argument("--preset", action="store_true", help="use the shepp_pi preset")
     p_pi.set_defaults(fn=_cmd_pi)
 
     p_dim = sub.add_parser("dimension", help="conditional vacancy exponent ln Z / ln n")
-    common(p_dim)
-    p_dim.set_defaults(fn=_cmd_dimension, replicates=1000)
+    _add_flags(p_dim, ("n", "replicates", "seed", "alpha", "out", "workers", "assert"), required=("n",))
+    p_dim.set_defaults(fn=_cmd_dimension, replicates=1000, seed=DEFAULT_BASE_SEED)
 
     p_ss = sub.add_parser("shepp-series", help="series divergence diagnostic")
     p_ss.add_argument("--sequence", required=True, help="zero | c_over_n:<c> | const:<v>")
@@ -302,15 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="coupon-collector Gumbel calibration")
     p_cal.add_argument("--K", type=int, default=10000)
-    p_cal.add_argument("--replicates", type=int, default=2000)
-    p_cal.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED)
-    p_cal.add_argument("--out")
-    p_cal.add_argument("--workers", type=int, default=1)
-    p_cal.add_argument("--assert", dest="assert_gates", action="store_true")
-    p_cal.set_defaults(fn=_cmd_calibrate)
+    _add_flags(p_cal, ("replicates", "seed", "out", "workers", "assert"))
+    p_cal.set_defaults(fn=_cmd_calibrate, replicates=2000, seed=DEFAULT_BASE_SEED)
 
     p_kar = sub.add_parser("karamata", help="regular-variation diagnostics table")
-    p_kar.add_argument("--tail", required=True)
+    _add_flags(p_kar, ("tail",), required=("tail",))
     p_kar.add_argument("--x", type=int, default=10**6)
     p_kar.set_defaults(fn=_cmd_karamata)
 

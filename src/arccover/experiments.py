@@ -135,11 +135,7 @@ def _calibration_task(args) -> tuple:
 
 
 _TASKS = {
-    "gumbel": _cover_task,
-    "compact": _cover_task,
-    "bstar": _cover_task,
-    "preexp": _cover_task,
-    "exponential": _cover_task,
+    **dict.fromkeys(COVER_PHASES, _cover_task),
     "shepp_pi": _pi_task,
     "dimension": _dimension_task,
     "calibration": _calibration_task,
@@ -158,17 +154,10 @@ _REFERENCE = {"gumbel": gumbel_cdf, "calibration": gumbel_cdf, "exponential": ex
 
 
 def _task_list(config: ExperimentConfig):
-    tasks = []
-    if config.phase in ("shepp_pi", "dimension"):
-        for alpha in config.alpha_list:
-            for n in config.n_list:
-                for rep in range(config.replicates):
-                    tasks.append((config.phase, alpha, n, rep, config.base_seed))
-    else:
-        for n in config.n_list:
-            for rep in range(config.replicates):
-                tasks.append((config.phase, config.tail, n, rep, config.base_seed))
-    return tasks
+    # the circle phases run one group per alpha, every other phase one group
+    groups = config.alpha_list if config.phase in ("shepp_pi", "dimension") else (config.tail,)
+    return [(config.phase, group, n, rep, config.base_seed)
+            for group in groups for n in config.n_list for rep in range(config.replicates)]
 
 
 def _format_row(row) -> str:

@@ -17,7 +17,6 @@ __all__ = [
     "exp_cdf",
     "ks_distance",
     "coupon_collector_sample",
-    "coupon_collector_samples",
     "preexp_bounds",
     "branching_run",
     "kesten_stigum_check",
@@ -87,14 +86,6 @@ def coupon_collector_sample(K: int, p: float, seed: int) -> float:
         raise ValueError("thinning rate p must lie in (0, 1]")
     rng = generator(seed)
     return float(rng.standard_exponential(K).max() * (K / p))
-
-
-def coupon_collector_samples(K: int, p: float, m: int, seed: int) -> np.ndarray:
-    """m independent collector times, one derived seed per replicate."""
-    out = np.empty(m)
-    for rep in range(m):
-        out[rep] = coupon_collector_sample(K, p, derive_seed(seed, K, rep))
-    return out
 
 
 def preexp_bounds(alpha: float, p: float) -> tuple[float, float]:

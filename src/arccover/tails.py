@@ -247,15 +247,19 @@ def parse_tail(spec: str) -> TailFunction:
 _CHUNK = 1 << 16
 
 
+def _chunks(tail: TailFunction, n: int):
+    """(start, the array f(start), ..., f(stop - 1)) for consecutive chunks of 1..n."""
+    for start in range(1, n + 1, _CHUNK):
+        yield start, tail.values(np.arange(start, min(start + _CHUNK, n + 1), dtype=np.int64))
+
+
 def _prefix_array(tail: TailFunction, n_max: int) -> np.ndarray:
     """prefix[k] = sum_{i<=k} f(i); chunked cumsum with an fsum-compensated carry."""
     out = np.empty(n_max + 1, dtype=np.float64)
     out[0] = 0.0
     parts: list[float] = []
-    for start in range(1, n_max + 1, _CHUNK):
-        stop = min(start + _CHUNK, n_max + 1)
-        vals = tail.values(np.arange(start, stop, dtype=np.int64))
-        out[start:stop] = math.fsum(parts) + np.cumsum(vals)
+    for start, vals in _chunks(tail, n_max):
+        out[start:start + vals.size] = math.fsum(parts) + np.cumsum(vals)
         parts.append(math.fsum(vals))
     return out
 
@@ -270,11 +274,7 @@ def tail_prefix_total(tail: TailFunction, n: int) -> float:
     if tail.family == "geom":
         q = tail.param
         return (1.0 - q**n) / (1.0 - q)
-    parts = []
-    for start in range(1, n + 1, _CHUNK):
-        stop = min(start + _CHUNK, n + 1)
-        parts.append(math.fsum(tail.values(np.arange(start, stop, dtype=np.int64))))
-    return math.fsum(parts)
+    return math.fsum([math.fsum(vals) for _start, vals in _chunks(tail, n)])
 
 
 class TailMoments:

@@ -1,13 +1,11 @@
 """Discrete covering process on Z/nZ: arc placement, cover times, vacancy formulas.
 
-Two placement engines share one pinned arc stream:
-
-* ``TorusCoverState``: the successor-skipping structure ("next uncovered index
-  at or after i" with path compression). Each index is touched O(alpha(n))
-  amortized over a run.
-* a batched circular-sweep used inside ``run_to_cover``, which resolves whole
-  arc batches against the vacant set in O(n + batch) vectorized work. Both
-  engines produce identical results on the same stream; tests enforce this.
+Every random quantity comes from one pinned arc stream per seed: uniform
+starts on Z/nZ and radii drawn from the tail by inverse transform, written out
+once in ``_first_cover`` (cover times) and once in ``_poisson_arcs`` (the arcs
+present at a fixed Poisson time). Coverage is resolved by a doubled-index
+prefix-max sweep in O(n + arcs) vectorized work. The arc-by-arc reference
+engines that tests compare the sweep against live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -20,12 +18,8 @@ from .seeding import generator
 from .tails import TailFunction, tail_prefix_total
 
 __all__ = [
-    "TorusCoverState",
-    "NaiveCoverState",
-    "ArcEvent",
     "CoverResult",
     "run_to_cover",
-    "run_to_cover_reference",
     "snapshot_vacant",
     "site_vacancy",
     "vacancy_probability_exact",
@@ -35,121 +29,7 @@ __all__ = [
 
 ARC_HARD_CAP = 10**10
 VACANT_INDEX_LIMIT = 10**6
-
-
-class TorusCoverState:
-    """Coverage over Z/nZ via a successor array with path compression."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("torus size must be >= 1")
-        self.n = n
-        # successor[i] = next uncovered index >= i; index n is a fixed sentinel
-        self.successor = list(range(n + 1))
-        self.vacant_count = n
-        self.arcs_placed = 0
-
-    def _find(self, i: int) -> int:
-        succ = self.successor
-        root = i
-        while succ[root] != root:
-            root = succ[root]
-        while succ[i] != root:
-            succ[i], i = root, succ[i]
-        return root
-
-    def place_arc(self, u: int, r: int) -> int:
-        """Cover {u, ..., u+r-1} mod n; returns the number of newly covered indices."""
-        n = self.n
-        if not 0 <= u < n:
-            raise ValueError(f"start index {u} outside [0, {n})")
-        if r < 1:
-            raise ValueError("arc length must be >= 1")
-        r = min(r, n)
-        newly = 0
-        succ = self.successor
-        end = min(u + r, n)
-        j = self._find(u)
-        while j < end:
-            succ[j] = j + 1
-            newly += 1
-            j = self._find(j + 1)
-        wrap_end = u + r - n
-        if wrap_end > 0:
-            j = self._find(0)
-            while j < wrap_end:
-                succ[j] = j + 1
-                newly += 1
-                j = self._find(j + 1)
-        self.vacant_count -= newly
-        self.arcs_placed += 1
-        return newly
-
-    def vacant_indices(self) -> list[int]:
-        out = []
-        j = self._find(0)
-        while j < self.n:
-            out.append(j)
-            j = self._find(j + 1)
-        return out
-
-    @property
-    def is_covered(self) -> bool:
-        return self.vacant_count == 0
-
-
-class NaiveCoverState:
-    """Boolean-array oracle with the same interface as TorusCoverState."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("torus size must be >= 1")
-        self.n = n
-        self.covered = np.zeros(n, dtype=bool)
-        self.vacant_count = n
-        self.arcs_placed = 0
-
-    def place_arc(self, u: int, r: int) -> int:
-        n = self.n
-        if not 0 <= u < n:
-            raise ValueError(f"start index {u} outside [0, {n})")
-        if r < 1:
-            raise ValueError("arc length must be >= 1")
-        r = min(r, n)
-        before = self.vacant_count
-        end = min(u + r, n)
-        seg = self.covered[u:end]
-        newly = int(seg.size - np.count_nonzero(seg))
-        seg[:] = True
-        wrap_end = u + r - n
-        if wrap_end > 0:
-            seg = self.covered[0:wrap_end]
-            newly += int(seg.size - np.count_nonzero(seg))
-            seg[:] = True
-        self.vacant_count = before - newly
-        self.arcs_placed += 1
-        return newly
-
-    def vacant_indices(self) -> list[int]:
-        return np.flatnonzero(~self.covered).tolist()
-
-    @property
-    def is_covered(self) -> bool:
-        return self.vacant_count == 0
-
-
-@dataclass(frozen=True)
-class ArcEvent:
-    """One placed arc: start u, length r, arrival order."""
-
-    u: int
-    r: int
-    index: int
-
-    def covered_indices(self, n: int) -> list[int]:
-        if self.r < 1:
-            raise ValueError("arc length must be >= 1")
-        return sorted({(self.u + j) % n for j in range(min(self.r, n))})
+SWEEP_N_LIMIT = (2**31 - 1) // 3
 
 
 @dataclass(frozen=True)
@@ -175,8 +55,9 @@ class _CoverSweep:
     """
 
     def __init__(self, n: int):
-        if n >= 2**30:
-            raise ValueError("torus size limited to 2**30")
+        # reach[] holds p + L[p mod n] <= 3n - 1 in int32; checked before allocating
+        if n > SWEEP_N_LIMIT:
+            raise ValueError(f"torus size {n} exceeds {SWEEP_N_LIMIT}, the int32 limit of the coverage sweep")
         self.n = n
         self._L = np.zeros(n, dtype=np.int32)
         self._reach = np.empty(2 * n, dtype=np.int32)
@@ -221,6 +102,35 @@ def _default_batch(tail: TailFunction, n: int) -> int:
     return int(min(max(1024.0, 1.25 * est), 262144.0))
 
 
+def _first_cover(tail: TailFunction, n: int, seed: int, batch_size: int | None, place) -> CoverResult:
+    """Draw the pinned arc stream batch by batch until ``place`` reports cover.
+
+    Each batch takes B starts, then B uniforms turned into radii, then B
+    exponentials. ``place(starts, radii)`` returns None while a site stays
+    vacant after the batch, else the number k >= 1 of the batch's arcs after
+    which the torus is first covered.
+    """
+    rng = generator(seed)
+    B = batch_size or _default_batch(tail, n)
+    arcs_before = 0
+    eta_parts: list[float] = []
+    max_r = 0
+    while True:
+        u = rng.integers(0, n, B, dtype=np.int64)
+        r = tail.sample_radii(1.0 - rng.random(B), cap=n)
+        eta = rng.standard_exponential(B)
+        k = place(u, r)
+        if k is not None:
+            T = math.fsum(eta_parts + [float(np.sum(eta[:k]))])
+            max_r = max(max_r, int(r[:k].max()))
+            return CoverResult(n=n, tau=arcs_before + k, T=T, max_radius=max_r, seed=seed)
+        arcs_before += B
+        eta_parts.append(float(np.sum(eta)))
+        max_r = max(max_r, int(r.max()))
+        if arcs_before > ARC_HARD_CAP:
+            raise RuntimeError(f"no cover after {arcs_before} arcs; configuration bug?")
+
+
 def run_to_cover(tail: TailFunction, n: int, seed: int, batch_size: int | None = None) -> CoverResult:
     """Place i.i.d. arcs (uniform start, inverse-transform radius) until covered.
 
@@ -228,70 +138,46 @@ def run_to_cover(tail: TailFunction, n: int, seed: int, batch_size: int | None =
     batches of B(tail, n); radii are clamped to n at placement. T is the sum of
     one standard exponential per placed arc.
     """
-    rng = generator(seed)
-    B = batch_size or _default_batch(tail, n)
     sweep = _CoverSweep(n)
     vacant = np.arange(n, dtype=np.int64)
-    arcs_before = 0
-    eta_parts: list[float] = []
-    max_r = 0
-    while True:
-        u = rng.integers(0, n, B, dtype=np.int64)
-        w = 1.0 - rng.random(B)
-        r = tail.sample_radii(w, cap=n)
-        eta = rng.standard_exponential(B)
+
+    def place(u, r):
+        # sweep the batch against the sites still vacant; on cover, bisect for
+        # the shortest prefix of the batch that covers them
+        nonlocal vacant
         cov = sweep.covered(u, r, vacant)
-        if cov.all():
-            lo, hi = 1, B
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if bool(sweep.covered(u[:mid], r[:mid], vacant).all()):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            tau = arcs_before + lo
-            T = math.fsum(eta_parts + [float(np.sum(eta[:lo]))])
-            max_r = max(max_r, int(r[:lo].max()))
-            return CoverResult(n=n, tau=tau, T=T, max_radius=max_r, seed=seed)
-        vacant = vacant[~cov]
-        arcs_before += B
-        eta_parts.append(float(np.sum(eta)))
-        max_r = max(max_r, int(r.max()))
-        if arcs_before > ARC_HARD_CAP:
-            raise RuntimeError(f"no cover after {arcs_before} arcs; configuration bug?")
+        if not cov.all():
+            vacant = vacant[~cov]
+            return None
+        lo, hi = 1, len(u)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if bool(sweep.covered(u[:mid], r[:mid], vacant).all()):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
-
-def run_to_cover_reference(tail: TailFunction, n: int, seed: int, batch_size: int | None = None,
-                           engine: str = "successor") -> CoverResult:
-    """Arc-by-arc reference consuming the identical stream as run_to_cover."""
-    rng = generator(seed)
-    B = batch_size or _default_batch(tail, n)
-    state = TorusCoverState(n) if engine == "successor" else NaiveCoverState(n)
-    arcs_before = 0
-    eta_parts: list[float] = []
-    max_r = 0
-    while True:
-        u = rng.integers(0, n, B, dtype=np.int64)
-        w = 1.0 - rng.random(B)
-        r = tail.sample_radii(w, cap=n)
-        eta = rng.standard_exponential(B)
-        for k in range(B):
-            state.place_arc(int(u[k]), int(r[k]))
-            if state.vacant_count == 0:
-                tau = arcs_before + k + 1
-                T = math.fsum(eta_parts + [float(np.sum(eta[: k + 1]))])
-                max_r = max(max_r, int(r[: k + 1].max()))
-                return CoverResult(n=n, tau=tau, T=T, max_radius=max_r, seed=seed)
-        arcs_before += B
-        eta_parts.append(float(np.sum(eta)))
-        max_r = max(max_r, int(r.max()))
-        if arcs_before > ARC_HARD_CAP:
-            raise RuntimeError(f"no cover after {arcs_before} arcs; configuration bug?")
+    return _first_cover(tail, n, seed, batch_size, place)
 
 
 # -- timed snapshots ---------------------------------------------------------
 
 _DRAW_CHUNK = 1 << 22
+
+
+def _poisson_arcs(tail: TailFunction, n: int, t: float, seed: int):
+    """The arcs present at Poisson time t: N ~ Poisson(t), then (starts, radii) chunks.
+
+    Each chunk of m arcs takes m starts, then m uniforms turned into radii
+    (clamped to n). The uniforms are dropped before the chunk is yielded.
+    """
+    rng = generator(seed)
+    N = int(rng.poisson(t))
+    for done in range(0, N, _DRAW_CHUNK):
+        m = min(N - done, _DRAW_CHUNK)
+        u = rng.integers(0, n, m, dtype=np.int64)
+        yield u, tail.sample_radii(1.0 - rng.random(m), cap=n)
 
 
 def snapshot_vacant(tail: TailFunction, n: int, t: float, seed: int):
@@ -301,16 +187,9 @@ def snapshot_vacant(tail: TailFunction, n: int, t: float, seed: int):
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    rng = generator(seed)
-    N = int(rng.poisson(t))
     sweep = _CoverSweep(n)
-    done = 0
-    while done < N:
-        m = min(N - done, _DRAW_CHUNK)
-        u = rng.integers(0, n, m, dtype=np.int64)
-        w = 1.0 - rng.random(m)
-        sweep.accumulate(u, tail.sample_radii(w, cap=n))
-        done += m
+    for u, r in _poisson_arcs(tail, n, t, seed):
+        sweep.accumulate(u, r)
     cov = sweep.finish()
     count = int(n - np.count_nonzero(cov))
     if count > VACANT_INDEX_LIMIT:
@@ -323,19 +202,11 @@ def site_vacancy(tail: TailFunction, n: int, t: float, seed: int, sites) -> np.n
     if t < 0:
         raise ValueError("t must be >= 0")
     sites = np.asarray(sites, dtype=np.int64)
-    rng = generator(seed)
-    N = int(rng.poisson(t))
     covered = np.zeros(sites.shape, dtype=bool)
-    done = 0
-    while done < N:
-        m = min(N - done, _DRAW_CHUNK)
-        u = rng.integers(0, n, m, dtype=np.int64)
-        w = 1.0 - rng.random(m)
-        r = tail.sample_radii(w, cap=n)
+    for u, r in _poisson_arcs(tail, n, t, seed):
         for j, s in enumerate(sites):
             if not covered[j]:
                 covered[j] = bool(np.any(((s - u) % n) < r))
-        done += m
     return ~covered
 
 

@@ -1,0 +1,148 @@
+"""Arc-by-arc reference engines for the torus cover process.
+
+The library resolves coverage with a vectorized prefix-max sweep
+(``arccover.torus``). The oracles here place one arc at a time, so tests can
+check the sweep against them on the same stream. Not a test module: pytest
+does not collect it.
+
+* ``TorusCoverState``: the successor-skipping structure ("next uncovered index
+  at or after i" with path compression); each index is touched O(alpha(n))
+  amortized over a run.
+* ``NaiveCoverState``: a boolean array with the same interface.
+"""
+from dataclasses import dataclass
+
+import numpy as np
+
+from arccover.tails import TailFunction
+from arccover.torus import CoverResult, _first_cover
+
+
+class TorusCoverState:
+    """Coverage over Z/nZ via a successor array with path compression."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("torus size must be >= 1")
+        self.n = n
+        # successor[i] = next uncovered index >= i; index n is a fixed sentinel
+        self.successor = list(range(n + 1))
+        self.vacant_count = n
+        self.arcs_placed = 0
+
+    def _find(self, i: int) -> int:
+        succ = self.successor
+        root = i
+        while succ[root] != root:
+            root = succ[root]
+        while succ[i] != root:
+            succ[i], i = root, succ[i]
+        return root
+
+    def place_arc(self, u: int, r: int) -> int:
+        """Cover {u, ..., u+r-1} mod n; returns the number of newly covered indices."""
+        n = self.n
+        if not 0 <= u < n:
+            raise ValueError(f"start index {u} outside [0, {n})")
+        if r < 1:
+            raise ValueError("arc length must be >= 1")
+        r = min(r, n)
+        newly = 0
+        succ = self.successor
+        end = min(u + r, n)
+        j = self._find(u)
+        while j < end:
+            succ[j] = j + 1
+            newly += 1
+            j = self._find(j + 1)
+        wrap_end = u + r - n
+        if wrap_end > 0:
+            j = self._find(0)
+            while j < wrap_end:
+                succ[j] = j + 1
+                newly += 1
+                j = self._find(j + 1)
+        self.vacant_count -= newly
+        self.arcs_placed += 1
+        return newly
+
+    def vacant_indices(self) -> list[int]:
+        out = []
+        j = self._find(0)
+        while j < self.n:
+            out.append(j)
+            j = self._find(j + 1)
+        return out
+
+    @property
+    def is_covered(self) -> bool:
+        return self.vacant_count == 0
+
+
+class NaiveCoverState:
+    """Boolean-array oracle with the same interface as TorusCoverState."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("torus size must be >= 1")
+        self.n = n
+        self.covered = np.zeros(n, dtype=bool)
+        self.vacant_count = n
+        self.arcs_placed = 0
+
+    def place_arc(self, u: int, r: int) -> int:
+        n = self.n
+        if not 0 <= u < n:
+            raise ValueError(f"start index {u} outside [0, {n})")
+        if r < 1:
+            raise ValueError("arc length must be >= 1")
+        r = min(r, n)
+        before = self.vacant_count
+        end = min(u + r, n)
+        seg = self.covered[u:end]
+        newly = int(seg.size - np.count_nonzero(seg))
+        seg[:] = True
+        wrap_end = u + r - n
+        if wrap_end > 0:
+            seg = self.covered[0:wrap_end]
+            newly += int(seg.size - np.count_nonzero(seg))
+            seg[:] = True
+        self.vacant_count = before - newly
+        self.arcs_placed += 1
+        return newly
+
+    def vacant_indices(self) -> list[int]:
+        return np.flatnonzero(~self.covered).tolist()
+
+    @property
+    def is_covered(self) -> bool:
+        return self.vacant_count == 0
+
+
+@dataclass(frozen=True)
+class ArcEvent:
+    """One placed arc: start u, length r, arrival order."""
+
+    u: int
+    r: int
+    index: int
+
+    def covered_indices(self, n: int) -> list[int]:
+        if self.r < 1:
+            raise ValueError("arc length must be >= 1")
+        return sorted({(self.u + j) % n for j in range(min(self.r, n))})
+
+
+def run_to_cover_reference(tail: TailFunction, n: int, seed: int, batch_size: int | None = None,
+                           engine: str = "successor") -> CoverResult:
+    """Arc-by-arc reference consuming the identical stream as run_to_cover."""
+    state = TorusCoverState(n) if engine == "successor" else NaiveCoverState(n)
+
+    def place(u, r):
+        for k in range(len(u)):
+            state.place_arc(int(u[k]), int(r[k]))
+            if state.is_covered:
+                return k + 1
+        return None
+
+    return _first_cover(tail, n, seed, batch_size, place)

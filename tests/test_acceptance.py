@@ -16,7 +16,6 @@ from arccover.circle import (
     CONVERGING,
     DIVERGING,
     count_missing_lattice,
-    pi_hat,
     project_W,
     project_X,
     sample_truncated,
@@ -32,15 +31,9 @@ from arccover.experiments import (
 from arccover.seeding import derive_seed, generator
 from arccover.stats import OffspringLaw, extinction_frequency, kesten_stigum_check
 from arccover.tails import TailFunction, cf_estimate, karamata_ratio, parse_tail, tail_prefix_total
-from arccover.torus import (
-    NaiveCoverState,
-    TorusCoverState,
-    pair_vacancy_exact,
-    run_to_cover,
-    snapshot_vacant,
-    vacancy_probability_exact,
-)
+from arccover.torus import pair_vacancy_exact, run_to_cover, snapshot_vacant, vacancy_probability_exact
 
+from oracles import NaiveCoverState, TorusCoverState
 from overshoot import binomial_upper_quantile, overshoot_bound
 
 pytestmark = pytest.mark.acceptance
@@ -219,12 +212,16 @@ def test_05b_bstar_spread(bstar_run):
     assert report("criterion 5b", std >= 0.05, f"std of T/n = {std:.4f} (gate >= 0.05)")
 
 
-def test_05c_bstar_matches_circle_model(bstar_run):
+def test_05c_bstar_matches_circle_model(bstar_run, tmp_path):
+    cfg = ExperimentConfig(phase="shepp_pi", alpha_list=(0.5, 0.8), n_list=(10**4,), replicates=2000,
+                           base_seed=SEED, output_path=str(tmp_path / "pi"))
+    _, summary = run_experiment(cfg, workers=WORKERS)
     ok = True
     details = []
     for alpha in (0.5, 0.8):
         ecdf = bstar_run["ecdf"][f"{alpha:g}"]
-        p, hw = pi_hat(alpha, 10**4, 2000, seed=SEED)
+        group = summary["groups"][f"alpha={alpha:g}|n=10000"]
+        p, hw = group["pi_hat"], group["halfwidth_95"]
         good = abs(ecdf - p) <= 0.05
         ok &= good
         details.append(f"a={alpha}: P(T/n<=a)={ecdf:.4f} vs pi_hat={p:.4f}+-{hw:.4f} ({'ok' if good else 'BAD'})")

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arccover import cli
 from arccover.circle import (
     CONVERGING,
     DIVERGING,
     CircleConfiguration,
     count_missing_lattice,
-    dimension_estimate,
     is_covered,
-    pi_hat,
     project_W,
     project_X,
     sample_truncated,
     shepp_series,
     vacant_set,
 )
+from arccover.experiments import ExperimentConfig, run_experiment
 
 
 def config(points, alpha=1.0, z=0.01):
@@ -246,25 +246,35 @@ class TestSheppSeries:
         assert partial.size == 100
 
 
-class TestPiHat:
-    def test_alpha_zero(self):
-        p, hw = pi_hat(0.0, 100, 50, seed=3)
-        assert p == 0.0
-        assert hw == 0.0
+def alpha_groups(tmp_path, phase, alpha, n_list, replicates, seed):
+    """run_experiment on one alpha; the summary groups keyed by n."""
+    cfg = ExperimentConfig(phase=phase, alpha_list=(alpha,), n_list=n_list, replicates=replicates,
+                           base_seed=seed, output_path=str(tmp_path / phase))
+    _, summary = run_experiment(cfg)
+    return [summary["groups"][f"alpha={alpha:g}|n={n}"] for n in n_list]
 
-    def test_halfwidth_formula(self):
-        p, hw = pi_hat(1.5, 100, 200, seed=3)
-        assert hw == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 200), rel=1e-12)
+
+class TestPiHat:
+    def test_alpha_zero(self, tmp_path):
+        [g] = alpha_groups(tmp_path, "shepp_pi", 0.0, (100,), 50, seed=3)
+        assert g["pi_hat"] == 0.0
+        assert g["halfwidth_95"] == 0.0
+
+    def test_halfwidth_formula(self, tmp_path):
+        [g] = alpha_groups(tmp_path, "shepp_pi", 1.5, (100,), 200, seed=3)
+        p = g["pi_hat"]
+        assert g["halfwidth_95"] == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 200), rel=1e-12)
 
     def test_requires_replicates(self):
         with pytest.raises(ValueError):
-            pi_hat(0.5, 100, 0, seed=1)
+            ExperimentConfig(phase="shepp_pi", alpha_list=(0.5,), n_list=(100,), replicates=0)
 
     @pytest.mark.slow
-    def test_monotone_in_truncation(self):
+    def test_monotone_in_truncation(self, tmp_path):
         # finer truncation only adds arcs, so pi rises with n; intervals must
         # never invert the order
-        vals = [pi_hat(0.8, n, 500, seed=17) for n in (100, 1000, 10000)]
+        groups = alpha_groups(tmp_path, "shepp_pi", 0.8, (100, 1000, 10000), 500, seed=17)
+        vals = [(g["pi_hat"], g["halfwidth_95"]) for g in groups]
         for (p_lo, hw_lo), (p_hi, hw_hi) in zip(vals, vals[1:]):
             assert p_hi >= p_lo - (hw_lo + hw_hi)
 
@@ -272,14 +282,16 @@ class TestPiHat:
 class TestDimension:
     def test_validates_alpha(self):
         with pytest.raises(ValueError):
-            dimension_estimate(1.2, 100, 10, seed=1)
+            ExperimentConfig(phase="dimension", alpha_list=(1.2,), n_list=(100,), replicates=10)
 
-    def test_insufficient_acceptances(self):
+    def test_insufficient_acceptances(self, tmp_path, capsys):
         # alpha high and n tiny: nearly every configuration covers
-        with pytest.raises(RuntimeError, match="insufficient"):
-            dimension_estimate(0.99, 8, 35, seed=1)
+        code = cli.main(["dimension", "--alpha", "0.99", "--n", "8", "--replicates", "35", "--seed", "1",
+                         "--out", str(tmp_path / "d.json")])
+        assert code == cli.EXIT_VALIDATION
+        assert "insufficient" in capsys.readouterr().err
 
-    def test_small_alpha_exponent_near_one(self):
-        mean_exp, accepted = dimension_estimate(0.05, 1000, 120, seed=5)
-        assert accepted >= 100
-        assert mean_exp > 0.85
+    def test_small_alpha_exponent_near_one(self, tmp_path):
+        [g] = alpha_groups(tmp_path, "dimension", 0.05, (1000,), 120, seed=5)
+        assert g["accepted"] >= 100
+        assert g["conditional_mean_exponent"] > 0.85

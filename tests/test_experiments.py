@@ -243,6 +243,45 @@ class TestCLI:
         lines = (tmp_path / "from_file.csv").read_text().splitlines()
         assert len(lines) == 1 + 20
 
+    def write_config(self, tmp_path, **extra):
+        cfg = tmp_path / "run.cfg"
+        lines = ["phase = gumbel", "tail = const:1", "n = 32", "replicates = 4", "seed = 999",
+                 f"out = {tmp_path / 'from_file'}"]
+        cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in extra.items()]) + "\n")
+        return cfg
+
+    def test_config_file_seed_reaches_manifest(self, tmp_path):
+        res = self.run_cli("cover", "--config", str(self.write_config(tmp_path)))
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads((tmp_path / "from_file.manifest.json").read_text())
+        assert manifest["config"]["base_seed"] == 999
+
+    def test_seed_flag_overrides_config_file(self, tmp_path):
+        res = self.run_cli("cover", "--config", str(self.write_config(tmp_path)), "--seed", "5")
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads((tmp_path / "from_file.manifest.json").read_text())
+        assert manifest["config"]["base_seed"] == 5
+
+    def test_unknown_config_key_exits_2(self, tmp_path):
+        res = self.run_cli("cover", "--config", str(self.write_config(tmp_path, workers=4)))
+        assert res.returncode == 2
+        assert "workers" in res.stderr
+
+    def test_pi_rejects_phase(self, tmp_path):
+        res = self.run_cli("pi", "--phase", "gumbel", "--tail", "const:1", "--alpha", "0.5", "--n", "50",
+                           "--replicates", "4", "--out", str(tmp_path / "pi"))
+        assert res.returncode == 2
+        res = self.run_cli("pi", "--config", str(self.write_config(tmp_path)), "--alpha", "0.5")
+        assert res.returncode == 2
+        assert "shepp_pi" in res.stderr
+
+    def test_config_rejected_where_unread(self, tmp_path):
+        cfg = str(self.write_config(tmp_path))
+        res = self.run_cli("snapshot", "--config", cfg, "--tail", "const:1", "--n", "100", "--alpha", "0.5")
+        assert res.returncode == 2
+        res = self.run_cli("dimension", "--config", cfg, "--n", "500")
+        assert res.returncode == 2
+
     def test_dimension_command(self, tmp_path):
         res = self.run_cli("dimension", "--alpha", "0.5", "--n", "500", "--replicates", "150",
                            "--seed", "9", "--out", str(tmp_path / "d.json"))

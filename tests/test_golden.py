@@ -1,0 +1,41 @@
+"""Golden hashes of every preset at two replicates per n.
+
+The digest is the sha256 of a preset's CSV bytes, a NUL byte, and its summary
+bytes, at the default base seed. A refactor of the arc stream, the replicate
+tasks or the summaries must leave every digest unchanged; a digest changes only
+with a deliberate change of output, and then this table is updated with it.
+The ``preexp`` digest changes when ``stats.preexp_bounds`` is mended (ROADMAP
+item 4(d)), because its lower bounds are written into the summary.
+"""
+import dataclasses
+import hashlib
+
+import pytest
+
+from arccover.experiments import PRESETS, preset_config, run_experiment
+
+REPLICATES = 2
+
+GOLDEN = {
+    "bstar": "347916dddd6a0b5588c0bb6f82ffcb286c9fecb853fa7e18c23a1c8fa6e26311",
+    "calibration": "acdedebbe0bdd1ffd9c340ff9c551b0aaa2e1f204032ce1d099f638fb3368a52",
+    "compact": "462a035fcb897bd347f3b1dfc7e7064db758e7aea8b1e70e2291860ee3d4916d",
+    "dimension": "eb122724aa38945731dbfcd050ff04d8283670089c5ab8208860783a308e8235",
+    "exponential": "9bc8304d6fbafc7e0acee3876a1c3f80818a23b57af2bc36f85c91e03ba3b469",
+    "gumbel_const": "f66803e2eddc98b39e0ec624207163c00a73ee7ee7196eb7aa394ebe8a2c0bd8",
+    "gumbel_geom": "f6706731ab4791793e1e9285b59ae9f58c66cdf52f951373fd62edca06f08243",
+    "preexp": "f9ff34e66ee4114d751a1ac66fdee00b63ae2b07e4ac29674982f7c2307e6748",
+    "shepp_pi": "65d4c7e18cccb428d3279287474e66f4f69eedfe2bf24405a3d59501a0476363",
+}
+
+
+def test_golden_covers_every_preset():
+    assert sorted(GOLDEN) == sorted(PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_preset_digest(name, tmp_path):
+    config = preset_config(name, output_path=str(tmp_path / name))
+    paths, _ = run_experiment(dataclasses.replace(config, replicates=REPLICATES))
+    digest = hashlib.sha256(paths["csv"].read_bytes() + b"\0" + paths["summary"].read_bytes()).hexdigest()
+    assert digest == GOLDEN[name]

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arccover.seeding import derive_seed
 from arccover.stats import (
     EmpiricalDistribution,
     OffspringLaw,
     branching_run,
     coupon_collector_sample,
-    coupon_collector_samples,
     exp_cdf,
     extinction_frequency,
     gumbel_cdf,
@@ -81,6 +81,11 @@ class TestKS:
         assert emp.ecdf(1.9999) == 0.25
 
 
+def collector_times(K, m, seed):
+    """m collector times on the replicate seeds of the calibration phase."""
+    return np.array([coupon_collector_sample(K, 1.0, derive_seed(seed, K, rep)) for rep in range(m)])
+
+
 class TestCouponCollector:
     def test_k_one_is_unit_exponential(self):
         m = 10**5
@@ -93,7 +98,7 @@ class TestCouponCollector:
     def test_exact_cdf_at_zero(self):
         # closed form (1 - e^t / K)^K at t=0, K=10
         K, m = 10, 4000
-        samples = coupon_collector_samples(K, 1.0, m, seed=31)
+        samples = collector_times(K, m, seed=31)
         scaled = samples / K - math.log(K)
         freq = np.count_nonzero(scaled <= 0.0) / m
         want = (1.0 - 1.0 / K) ** K
@@ -104,7 +109,7 @@ class TestCouponCollector:
     def test_closed_form_ks(self):
         # exact law of the scaled maximum: (1 - e^{-t}/K)^K
         K, m = 100, 10**4
-        samples = coupon_collector_samples(K, 1.0, m, seed=77)
+        samples = collector_times(K, m, seed=77)
         scaled = samples / K - math.log(K)
         exact_cdf = lambda t: np.clip(1.0 - np.exp(-np.asarray(t)) / K, 0.0, 1.0) ** K
         res = ks_distance(EmpiricalDistribution.from_samples(scaled), exact_cdf)
@@ -113,7 +118,7 @@ class TestCouponCollector:
     @pytest.mark.slow
     def test_gumbel_limit(self):
         K, m = 10**4, 2000
-        samples = coupon_collector_samples(K, 1.0, m, seed=13)
+        samples = collector_times(K, m, seed=13)
         scaled = samples / K - math.log(K)
         res = ks_distance(EmpiricalDistribution.from_samples(scaled), gumbel_cdf)
         assert res.D < 0.05

@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 
 from arccover.tails import TailFunction, parse_tail
 from arccover.torus import (
-    ArcEvent,
     CoverResult,
-    NaiveCoverState,
-    TorusCoverState,
     covered_mask,
     pair_vacancy_exact,
     run_to_cover,
-    run_to_cover_reference,
     site_vacancy,
     snapshot_vacant,
     vacancy_probability_exact,
 )
 
+from oracles import ArcEvent, NaiveCoverState, TorusCoverState, run_to_cover_reference
 from overshoot import binomial_upper_quantile, overshoot_bound
 
 TAILS = [
@@ -127,6 +124,17 @@ class TestCoveredMask:
             lens.append(r)
         got = covered_mask(n, np.array(starts, dtype=np.int64), np.array(lens, dtype=np.int64))
         assert got.tolist() == naive.covered.tolist()
+
+
+    def test_int32_guard(self):
+        # the sweep's int32 reach array holds values up to 3n - 1; the guard
+        # must reject n before any n-sized buffer is allocated
+        n = (2**31 - 1) // 3 + 1
+        assert n == 715_827_883
+        with pytest.raises(ValueError, match="int32"):
+            covered_mask(n, np.array([0]), np.array([1]))
+        with pytest.raises(ValueError, match="int32"):
+            run_to_cover(TailFunction.constant(1), n, seed=1)
 
 
 class TestRunToCover:
