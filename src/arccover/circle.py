@@ -43,10 +43,6 @@ class CircleConfiguration:
     def count(self) -> int:
         return int(self.xs.size)
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.xs.tolist(), self.ys.tolist()))
-
     def truncate(self, z_new: float) -> "CircleConfiguration":
         """Sub-configuration of arcs longer than z_new (requires z_new >= z)."""
         if z_new < self.z:
@@ -113,39 +109,23 @@ def sample_truncated(alpha: float, z: float, seed: int) -> CircleConfiguration:
     return CircleConfiguration(alpha, z, xs, ys)
 
 
-def _merged_cover(config: CircleConfiguration):
-    """Merged open cover in doubled coordinates, or None for full coverage.
-
-    Returns (starts, ends) of disjoint open intervals; a circle point q is
-    covered iff q+1 lies strictly inside one of them. Merging is strict, so
-    abutting arcs stay separate and their junction stays uncovered.
-    """
+def vacant_set(config: CircleConfiguration) -> VacantIntervals:
+    """Exact complement of the union of open projected arcs."""
     if np.any(config.ys > 1.0):
-        return None
+        return VacantIntervals(pieces=(), wraps=False)
+    # merge the open arcs in doubled coordinates, where a circle point q is
+    # covered iff q+1 lies strictly inside a merged interval; merging is
+    # strict, so abutting arcs stay separate and their junction stays uncovered
     xs, ys = config.xs, config.ys
     s = np.concatenate([xs, xs + 1.0])
     e = np.concatenate([xs + ys, xs + ys + 1.0])
     order = np.argsort(s, kind="stable")
     s = s[order]
     e = np.maximum.accumulate(e[order])
-    if s.size == 0:
-        return np.empty(0), np.empty(0)
     new_group = np.ones(s.size, dtype=bool)
     new_group[1:] = s[1:] >= e[:-1]
     gs = s[new_group]
-    last = np.flatnonzero(new_group)[1:] - 1
-    ge = np.concatenate([e[last], e[-1:]])
-    return gs, ge
-
-
-def vacant_set(config: CircleConfiguration) -> VacantIntervals:
-    """Exact complement of the union of open projected arcs."""
-    merged = _merged_cover(config)
-    if merged is None:
-        return VacantIntervals(pieces=(), wraps=False)
-    gs, ge = merged
-    if gs.size == 0:
-        return VacantIntervals(pieces=((0.0, 1.0),), wraps=False)
+    ge = np.concatenate([e[np.flatnonzero(new_group)[1:] - 1], e[-1:]])
     # closed gaps of the merged cover, clipped to the window [1, 2) that holds
     # one representative q+1 of every circle point q
     bounds_lo = np.concatenate([[-math.inf], ge])
@@ -160,29 +140,18 @@ def vacant_set(config: CircleConfiguration) -> VacantIntervals:
 
 def is_covered(config: CircleConfiguration) -> bool:
     """True iff the open arcs cover every circle point, isolated gaps included."""
-    merged = _merged_cover(config)
-    if merged is None:
-        return True
-    gs, ge = merged
-    if gs.size == 0:
-        return False
-    # covered iff one merged open interval strictly contains [1, 2)
-    return bool(np.any((gs < 1.0) & (ge >= 2.0)))
+    return vacant_set(config).is_empty
 
 
 def _lattice_vacant(config: CircleConfiguration, n: int) -> np.ndarray:
     """Vacancy indicator for the n lattice points k/n (open-arc convention)."""
-    merged = _merged_cover(config)
-    if merged is None:
-        return np.zeros(n, dtype=bool)
-    gs, ge = merged
+    # each piece end is a doubled coordinate in [1, 2] minus 1.0, so adding
+    # 1.0 back is exact and k/n + 1.0 meets the same bounds as in the merge
+    a, b = (np.array(vacant_set(config).pieces, dtype=np.float64).reshape(-1, 2) + 1.0).T
     pos = np.arange(n, dtype=np.float64) / n + 1.0
-    if gs.size == 0:
-        return np.ones(n, dtype=bool)
-    idx = np.searchsorted(gs, pos, side="right") - 1
-    idx_c = np.maximum(idx, 0)
-    covered = (idx >= 0) & (pos > gs[idx_c]) & (pos < ge[idx_c])
-    return ~covered
+    # the pieces are sorted and disjoint: pos lies in one iff more of them
+    # start at or before it than end before it
+    return np.searchsorted(a, pos, side="right") > np.searchsorted(b, pos, side="left")
 
 
 def count_missing_lattice(config: CircleConfiguration, n: int) -> int:

@@ -17,7 +17,6 @@ from .experiments import (
     DEFAULT_BASE_SEED,
     ExperimentConfig,
     PRESETS,
-    preset_config,
     run_experiment,
     vacancy_frequency,
 )
@@ -64,20 +63,36 @@ _CONFIG_FIELDS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """ExperimentConfig fields from the --config file, overridden by the flags given."""
-    raw = _read_config_file(args.config) if args.config else {}
+def _experiment_config(args: argparse.Namespace, preset: str | None = None,
+                       phase: str | None = None) -> ExperimentConfig:
+    """The preset's fields, overridden by the --config file, overridden by the flags given.
+
+    ``phase`` is the one phase a subcommand runs; it is the default and any
+    other is rejected.
+    """
+    fields = {**PRESETS[preset], "output_path": f"results/{preset}"} if preset else {}
+    config_path = getattr(args, "config", None)
+    raw = _read_config_file(config_path) if config_path else {}
     unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; known keys are {sorted(_CONFIG_FIELDS)}")
-    merged: dict = {}
     for key, (field, parse) in _CONFIG_FIELDS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[field] = tuple(flag) if isinstance(flag, list) else flag
+            fields[field] = tuple(flag) if isinstance(flag, list) else flag
         elif key in raw:
-            merged[field] = parse(raw[key])
-    return merged
+            fields[field] = parse(raw[key])
+    if phase is not None and fields.setdefault("phase", phase) != phase:
+        raise ValueError(f"{args.command} runs the {phase} phase, not {fields['phase']!r}")
+    return ExperimentConfig(**fields)
+
+
+def _reject_repeats(args: argparse.Namespace) -> None:
+    """A subcommand that reads one n and one alpha refuses a repeated flag."""
+    for key in ("n", "alpha"):
+        values = getattr(args, key, None) or ()
+        if len(values) > 1:
+            raise ValueError(f"{args.command} reads one {key}, got {len(values)}: {values}")
 
 
 def _gate_cover(summary: dict) -> list[str]:
@@ -108,10 +123,7 @@ def _gate_cover(summary: dict) -> list[str]:
 
 
 def _cmd_cover(args) -> int:
-    if args.preset:
-        config = preset_config(args.preset, base_seed=args.seed, output_path=args.out)
-    else:
-        config = ExperimentConfig(**_merge_config(args))
+    config = _experiment_config(args, args.preset)
     paths, summary = run_experiment(config, workers=args.workers)
     print(f"wrote {paths['csv']} {paths['summary']}")
     if args.assert_gates:
@@ -134,6 +146,7 @@ def _emit_json(result: dict, out: str | None) -> None:
 
 
 def _cmd_snapshot(args) -> int:
+    _reject_repeats(args)
     tail = parse_tail(args.tail)
     n = args.n[0]
     mu = tail.mean()
@@ -172,13 +185,7 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    if args.preset:
-        config = preset_config("shepp_pi", base_seed=args.seed, output_path=args.out)
-    else:
-        merged = _merge_config(args)
-        if merged.setdefault("phase", "shepp_pi") != "shepp_pi":
-            raise ValueError(f"pi runs the shepp_pi phase, not {merged['phase']!r}")
-        config = ExperimentConfig(**merged)
+    config = _experiment_config(args, "shepp_pi" if args.preset else None, phase="shepp_pi")
     paths, summary = run_experiment(config, workers=args.workers)
     print(f"wrote {paths['csv']} {paths['summary']}")
     for key, group in sorted(summary["groups"].items()):
@@ -187,10 +194,9 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    alpha = args.alpha[0] if args.alpha else 0.5
-    n = args.n[0]
-    config = ExperimentConfig(phase="dimension", alpha_list=(alpha,), n_list=(n,), replicates=args.replicates,
-                              base_seed=args.seed, output_path=args.out or "results/dimension")
+    _reject_repeats(args)
+    config = _experiment_config(args, "dimension")
+    [alpha], [n] = config.alpha_list, config.n_list
     _, summary = run_experiment(config, workers=args.workers)
     [group] = summary["groups"].values()
     accepted = group["accepted"]
@@ -230,11 +236,10 @@ def _cmd_shepp_series(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    merged = dict(phase="calibration", n_list=(args.K,), replicates=args.replicates,
-                  base_seed=args.seed, output_path=args.out or "results/calibration")
-    config = ExperimentConfig(**merged)
+    _reject_repeats(args)
+    config = _experiment_config(args, "calibration")
     paths, summary = run_experiment(config, workers=args.workers)
-    group = summary["groups"][f"coupon|n={args.K}"]
+    [group] = summary["groups"].values()
     print(f"wrote {paths['csv']}; KS vs Gumbel = {group['ks']['D']:.4f}")
     if args.assert_gates and group["ks"]["D"] > 0.05:
         print("GATE FAIL: calibration KS above 0.05")
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dimension", help="conditional vacancy exponent ln Z / ln n")
     _add_flags(p_dim, ("n", "replicates", "seed", "alpha", "out", "workers", "assert"), required=("n",))
-    p_dim.set_defaults(fn=_cmd_dimension, replicates=1000, seed=DEFAULT_BASE_SEED)
+    p_dim.set_defaults(fn=_cmd_dimension)
 
     p_ss = sub.add_parser("shepp-series", help="series divergence diagnostic")
     p_ss.add_argument("--sequence", required=True, help="zero | c_over_n:<c> | const:<v>")
@@ -307,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ss.set_defaults(fn=_cmd_shepp_series)
 
     p_cal = sub.add_parser("calibrate", help="coupon-collector Gumbel calibration")
-    p_cal.add_argument("--K", type=int, default=10000)
+    p_cal.add_argument("--K", dest="n", type=int, action="append", metavar="K", help="coupon count")
     _add_flags(p_cal, ("replicates", "seed", "out", "workers", "assert"))
-    p_cal.set_defaults(fn=_cmd_calibrate, replicates=2000, seed=DEFAULT_BASE_SEED)
+    p_cal.set_defaults(fn=_cmd_calibrate)
 
     p_kar = sub.add_parser("karamata", help="regular-variation diagnostics table")
     _add_flags(p_kar, ("tail",), required=("tail",))

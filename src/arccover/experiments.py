@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if not self.n_list:
             raise ValueError("n_list must be non-empty")
+        if min(self.n_list) < 1:
+            raise ValueError("every n must be >= 1")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("n_list must be strictly increasing")
         if self.phase in COVER_PHASES:
@@ -282,6 +284,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
 
 def vacancy_frequency(tail: TailFunction, n: int, t: float, sites, replicates: int, base_seed: int):
     """Monte Carlo frequency of each site (and all sites jointly) being vacant at time t."""
+    if n < 1 or replicates < 1:
+        raise ValueError("n and replicates must be >= 1")
     sites = np.asarray(sites, dtype=np.int64)
     single = np.zeros(sites.size, dtype=np.int64)
     joint = 0

@@ -2,9 +2,10 @@
 
 Every random quantity comes from one pinned arc stream per seed: uniform
 starts on Z/nZ and radii drawn from the tail by inverse transform, written out
-once in ``_first_cover`` (cover times) and once in ``_poisson_arcs`` (the arcs
-present at a fixed Poisson time). Coverage is resolved by a doubled-index
-prefix-max sweep in O(n + arcs) vectorized work. The arc-by-arc reference
+once in ``_first_cover`` (cover times) and once in ``_covered_at`` (the arcs
+present at a fixed Poisson time). Coverage has one kernel, the doubled-index
+prefix-max sweep ``_CoverSweep``, in O(n + arcs) vectorized work; every
+coverage or vacancy question is read off its mask. The arc-by-arc reference
 engines that tests compare the sweep against live in ``tests/oracles.py``.
 """
 from __future__ import annotations
@@ -91,10 +92,10 @@ class _CoverSweep:
         return self.finish(query=query, clear=starts)
 
 
-def covered_mask(n: int, starts: np.ndarray, lengths: np.ndarray, query: np.ndarray | None = None):
+def covered_mask(n: int, starts: np.ndarray, lengths: np.ndarray):
     """One-shot coverage of the union of arcs {start, ..., start+len-1} mod n."""
     lengths = np.minimum(np.asarray(lengths, dtype=np.int64), n)
-    return _CoverSweep(n).covered(np.asarray(starts, dtype=np.int64), lengths, query)
+    return _CoverSweep(n).covered(np.asarray(starts, dtype=np.int64), lengths)
 
 
 def _default_batch(tail: TailFunction, n: int) -> int:
@@ -166,18 +167,25 @@ def run_to_cover(tail: TailFunction, n: int, seed: int, batch_size: int | None =
 _DRAW_CHUNK = 1 << 22
 
 
-def _poisson_arcs(tail: TailFunction, n: int, t: float, seed: int):
-    """The arcs present at Poisson time t: N ~ Poisson(t), then (starts, radii) chunks.
+def _covered_at(tail: TailFunction, n: int, t: float, seed: int, query=None) -> np.ndarray:
+    """Coverage at Poisson time t: N ~ Poisson(t) arcs swept into one mask.
 
-    Each chunk of m arcs takes m starts, then m uniforms turned into radii
-    (clamped to n). The uniforms are dropped before the chunk is yielded.
+    Returns the mask of every site, or of the sites in ``query`` (each in
+    [0, n)). Each chunk of m arcs takes m starts, then m uniforms turned into
+    radii (clamped to n).
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    sweep = _CoverSweep(n)
     rng = generator(seed)
     N = int(rng.poisson(t))
     for done in range(0, N, _DRAW_CHUNK):
         m = min(N - done, _DRAW_CHUNK)
-        u = rng.integers(0, n, m, dtype=np.int64)
-        yield u, tail.sample_radii(1.0 - rng.random(m), cap=n)
+        # no chunk array outlives accumulate: one kept alive through finish
+        # sits below finish's allocations and keeps the heap from shrinking
+        sweep.accumulate(rng.integers(0, n, m, dtype=np.int64),
+                         tail.sample_radii(1.0 - rng.random(m), cap=n))
+    return sweep.finish(query)
 
 
 def snapshot_vacant(tail: TailFunction, n: int, t: float, seed: int):
@@ -185,12 +193,7 @@ def snapshot_vacant(tail: TailFunction, n: int, t: float, seed: int):
 
     vacant_indices is None when the count exceeds 10**6 (memory guard).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    sweep = _CoverSweep(n)
-    for u, r in _poisson_arcs(tail, n, t, seed):
-        sweep.accumulate(u, r)
-    cov = sweep.finish()
+    cov = _covered_at(tail, n, t, seed)
     count = int(n - np.count_nonzero(cov))
     if count > VACANT_INDEX_LIMIT:
         return count, None
@@ -198,16 +201,8 @@ def snapshot_vacant(tail: TailFunction, n: int, t: float, seed: int):
 
 
 def site_vacancy(tail: TailFunction, n: int, t: float, seed: int, sites) -> np.ndarray:
-    """Vacancy indicators for a few sites at Poisson time t (no full state kept)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    sites = np.asarray(sites, dtype=np.int64)
-    covered = np.zeros(sites.shape, dtype=bool)
-    for u, r in _poisson_arcs(tail, n, t, seed):
-        for j, s in enumerate(sites):
-            if not covered[j]:
-                covered[j] = bool(np.any(((s - u) % n) < r))
-    return ~covered
+    """Vacancy indicators at Poisson time t for ``sites``, each taken mod n."""
+    return ~_covered_at(tail, n, t, seed, np.asarray(sites, dtype=np.int64) % n)
 
 
 # -- exact vacancy formulas ---------------------------------------------------

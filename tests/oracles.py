@@ -9,6 +9,9 @@ does not collect it.
   at or after i" with path compression); each index is touched O(alpha(n))
   amortized over a run.
 * ``NaiveCoverState``: a boolean array with the same interface.
+
+``lattice_vacant_reference`` does the same for the circle model: it checks
+each lattice point against each arc in turn.
 """
 from dataclasses import dataclass
 
@@ -146,3 +149,22 @@ def run_to_cover_reference(tail: TailFunction, n: int, seed: int, batch_size: in
         return None
 
     return _first_cover(tail, n, seed, batch_size, place)
+
+
+def lattice_vacant_reference(xs, ys, n: int) -> np.ndarray:
+    """Vacancy of the lattice points k/n, one arc at a time.
+
+    Uses the float convention of ``arccover.circle``: point k is covered when
+    k/n + 1.0 lies strictly inside (x, x+y) or (x+1, x+y+1), and any y > 1
+    covers everything.
+    """
+    vacant = np.ones(n, dtype=bool)
+    for x, y in zip(list(xs), list(ys)):
+        if y > 1.0:
+            vacant[:] = False
+            break
+        for k in range(n):
+            p = k / n + 1.0
+            if x < p < x + y or x + 1.0 < p < x + y + 1.0:
+                vacant[k] = False
+    return vacant

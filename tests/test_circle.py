@@ -10,6 +10,7 @@ from arccover.circle import (
     CONVERGING,
     DIVERGING,
     CircleConfiguration,
+    _lattice_vacant,
     count_missing_lattice,
     is_covered,
     project_W,
@@ -20,11 +21,23 @@ from arccover.circle import (
 )
 from arccover.experiments import ExperimentConfig, run_experiment
 
+from oracles import lattice_vacant_reference
+
 
 def config(points, alpha=1.0, z=0.01):
     xs = np.array([p[0] for p in points], dtype=np.float64)
     ys = np.array([p[1] for p in points], dtype=np.float64)
     return CircleConfiguration(alpha, z, xs, ys)
+
+
+@st.composite
+def lattice_configs(draw):
+    """A lattice size n and up to 10 arcs; ends often fall on multiples of 1/n."""
+    n = draw(st.integers(1, 40))
+    on_grid = st.integers(0, 2 * n).map(lambda k: k / n)
+    x = st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_grid.filter(lambda v: v < 1.0))
+    y = st.one_of(st.floats(1e-3, 1.5), on_grid.filter(lambda v: v > 0.0))
+    return n, config(draw(st.lists(st.tuples(x, y), max_size=10)), z=1.0 / n)
 
 
 class TestSampling:
@@ -59,6 +72,11 @@ class TestSampling:
 class TestVacantSet:
     def test_giant_arc_covers(self):
         cfg = config([(0.2, 2.0)])
+        assert is_covered(cfg)
+        assert vacant_set(cfg).is_empty
+        # here x + y and x + 1 round to the same float, so only the y > 1
+        # rule keeps the circle point x from reading as vacant
+        cfg = config([(0.5 + 3 * 2.0**-53, 1.0 + 2.0**-52)])
         assert is_covered(cfg)
         assert vacant_set(cfg).is_empty
 
@@ -109,6 +127,12 @@ class TestVacantSet:
         assert v.total_length == pytest.approx(approx_vacant, abs=0.01)
         assert 0.0 <= v.total_length <= 1.0
 
+    @given(lattice_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_is_covered_iff_no_vacant_piece(self, case):
+        _, cfg = case
+        assert is_covered(cfg) == vacant_set(cfg).is_empty
+
     def test_pieces_sorted_disjoint(self):
         v = vacant_set(config([(0.1, 0.2), (0.6, 0.15)]))
         flat = [e for piece in v.pieces for e in piece]
@@ -132,6 +156,12 @@ class TestLatticeCount:
         vac = [k for k in range(10) if k / 10 in (0.1, 0.2)]
         assert count_missing_lattice(cfg, 10) == 10 - 1  # only 0.2 strictly inside
 
+    @given(lattice_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_arc_by_arc_reference(self, case):
+        n, cfg = case
+        assert _lattice_vacant(cfg, n).tolist() == lattice_vacant_reference(cfg.xs, cfg.ys, n).tolist()
+
     @pytest.mark.slow
     def test_expected_count(self):
         # E[Z_n] = exp(-alpha) n^(1-alpha); Z_n is clumpy, so the band is wide
@@ -150,20 +180,14 @@ class TestTruncationMonotonicity:
         coarse_v = vacant_set(coarse)
         assert fine_v.total_length <= coarse_v.total_length + 1e-12
         # probe points vacant under the finer configuration stay vacant under the coarser
-        finer_vacant = _probe_vacant(base, 733)
-        coarser_vacant = _probe_vacant(coarse, 733)
+        finer_vacant = _lattice_vacant(base, 733)
+        coarser_vacant = _lattice_vacant(coarse, 733)
         assert np.all(coarser_vacant[finer_vacant])
 
     def test_truncate_validates(self):
         cfg = sample_truncated(0.5, 0.01, seed=2)
         with pytest.raises(ValueError):
             cfg.truncate(0.001)
-
-
-def _probe_vacant(cfg, n):
-    from arccover.circle import _lattice_vacant
-
-    return _lattice_vacant(cfg, n)
 
 
 class TestSerialization:

@@ -282,6 +282,27 @@ class TestCLI:
         res = self.run_cli("dimension", "--config", cfg, "--n", "500")
         assert res.returncode == 2
 
+    def test_preset_takes_flags(self, tmp_path):
+        out = tmp_path / "cal"
+        res = self.run_cli("cover", "--preset", "calibration", "--replicates", "3", "--n", "500", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["500"] * 3
+
+    @pytest.mark.parametrize("args", [
+        ("dimension", "--n", "200", "--n", "300"),
+        ("dimension", "--n", "200", "--alpha", "0.3", "--alpha", "0.5"),
+        ("snapshot", "--tail", "const:1", "--n", "100", "--n", "200", "--alpha", "0.5"),
+        ("snapshot", "--tail", "const:1", "--n", "100", "--alpha", "0.5", "--alpha", "1"),
+        ("dimension", "--n", "0"),
+        ("pi", "--n", "0", "--alpha", "0.5"),
+        ("snapshot", "--tail", "const:1", "--n", "100", "--alpha", "0.5", "--replicates", "0"),
+    ])
+    def test_bad_input_exits_2(self, args):
+        res = self.run_cli(*args)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ")
+
     def test_dimension_command(self, tmp_path):
         res = self.run_cli("dimension", "--alpha", "0.5", "--n", "500", "--replicates", "150",
                            "--seed", "9", "--out", str(tmp_path / "d.json"))

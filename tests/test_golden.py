@@ -6,13 +6,20 @@ tasks or the summaries must leave every digest unchanged; a digest changes only
 with a deliberate change of output, and then this table is updated with it.
 The ``preexp`` digest changes when ``stats.preexp_bounds`` is mended (ROADMAP
 item 4(d)), because its lower bounds are written into the summary.
+
+The fixed-time torus outputs are pinned the same way: ``snapshot_vacant``
+(vacant count and indices) and ``site_vacancy`` (at sites spread over
+[-n, 2n), so the mod-n reduction is pinned too) at three seeds per shape.
 """
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from arccover.experiments import PRESETS, preset_config, run_experiment
+from arccover.tails import parse_tail
+from arccover.torus import site_vacancy, snapshot_vacant
 
 REPLICATES = 2
 
@@ -39,3 +46,27 @@ def test_preset_digest(name, tmp_path):
     paths, _ = run_experiment(dataclasses.replace(config, replicates=REPLICATES))
     digest = hashlib.sha256(paths["csv"].read_bytes() + b"\0" + paths["summary"].read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+# (tail, n, t) -> (snapshot_vacant digest, site_vacancy digest)
+FIXED_TIME_GOLDEN = {
+    ("const:1", 10_000, 46_000.0): ("06875e1873fc99d37077c62b37231dabb1978d1d0278964cb02a05afd1bed1a5",
+                                    "698bb673253f10d8cbde0552cf62ec677cddd97ebeb87cddf1995ad3e41d5427"),
+    ("geom:0.5", 10_000, 23_000.0): ("1ce5d9018e321b620815606f58920f7c9cc0685a08e36b5dad8fdc8a5ee9dc98",
+                                     "de3b8f918f05e20b3d20572c10e6a80bd04d8ef14e540d3e0906f12c145a102d"),
+    ("slowlog", 100_000, 10.0): ("8dd3460046f698b6f2f92eccc675fe15eef339290803761e8a4505c690bbe67f",
+                                 "2653911481f4051d0736d0639d43e82442f7218c1a6414c80b22b98f6a8c2151"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FIXED_TIME_GOLDEN))
+def test_fixed_time_digest(shape):
+    spec, n, t = shape
+    tail = parse_tail(spec)
+    sites = np.arange(-n, 2 * n, 7)
+    snap, site = hashlib.sha256(), hashlib.sha256()
+    for seed in range(3):
+        count, idx = snapshot_vacant(tail, n, t, seed)
+        snap.update(count.to_bytes(8, "little") + idx.astype(np.int64).tobytes())
+        site.update(site_vacancy(tail, n, t, seed, sites).tobytes())
+    assert (snap.hexdigest(), site.hexdigest()) == FIXED_TIME_GOLDEN[shape]

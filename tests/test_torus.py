@@ -135,6 +135,8 @@ class TestCoveredMask:
             covered_mask(n, np.array([0]), np.array([1]))
         with pytest.raises(ValueError, match="int32"):
             run_to_cover(TailFunction.constant(1), n, seed=1)
+        with pytest.raises(ValueError, match="int32"):
+            site_vacancy(TailFunction.constant(1), n, 1.0, seed=1, sites=[0])
 
 
 class TestRunToCover:
@@ -249,10 +251,13 @@ class TestSnapshot:
         assert abs(counts.mean() - 100.0) <= 3 * se
 
     def test_site_vacancy_matches_snapshot(self):
-        f = TailFunction.geometric(0.5)
-        n, t = 300, 500.0
-        for seed in range(20):
-            count, idx = snapshot_vacant(f, n, t, seed=seed)
-            vac = site_vacancy(f, n, t, seed=seed, sites=[0, n // 2])
-            assert vac[0] == (0 in idx)
-            assert vac[1] == (n // 2 in idx)
+        n = 300
+        # sites outside [0, n) are taken mod n
+        sites = np.array([0, n // 2, n - 1, n, -1, 2 * n + 7, -3 * n])
+        cases = [("geom:0.5", 500.0), ("const:1", 200.0), ("const:1", 0.0), ("pow:-0.5", 10.0), ("slowlog", 3.0)]
+        for spec, t in cases:
+            f = parse_tail(spec)
+            for seed in range(20):
+                count, idx = snapshot_vacant(f, n, t, seed=seed)
+                vac = site_vacancy(f, n, t, seed=seed, sites=sites)
+                assert vac.tolist() == np.isin(sites % n, idx).tolist(), (spec, t, seed)
