@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .tails import TailFunction, TailMoments, parse_tail, karamata_ratio, rv_limit_probe, moment_diagnostic, cf_estimate
+from .tails import TailFunction, parse_tail, karamata_ratio, rv_limit_probe, cf_estimate
 from .torus import (
     CoverResult,
     run_to_cover,

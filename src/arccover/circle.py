@@ -50,26 +50,6 @@ class CircleConfiguration:
         keep = self.ys > z_new
         return CircleConfiguration(self.alpha, z_new, self.xs[keep], self.ys[keep])
 
-    def to_text(self) -> str:
-        lines = [f"{self.alpha:.17g} {self.z:.17g} {self.count}"]
-        lines += [f"{x:.17g} {y:.17g}" for x, y in zip(self.xs, self.ys)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CircleConfiguration":
-        lines = text.strip().splitlines()
-        alpha_s, z_s, count_s = lines[0].split()
-        count = int(count_s)
-        if len(lines) - 1 != count:
-            raise ValueError(f"header promises {count} points, found {len(lines) - 1}")
-        xs = np.empty(count)
-        ys = np.empty(count)
-        for i, ln in enumerate(lines[1:]):
-            a, b = ln.split()
-            xs[i] = float(a)
-            ys[i] = float(b)
-        return cls(float(alpha_s), float(z_s), xs, ys)
-
 
 @dataclass(frozen=True)
 class VacantIntervals:
@@ -109,10 +89,10 @@ def sample_truncated(alpha: float, z: float, seed: int) -> CircleConfiguration:
     return CircleConfiguration(alpha, z, xs, ys)
 
 
-def vacant_set(config: CircleConfiguration) -> VacantIntervals:
-    """Exact complement of the union of open projected arcs."""
+def _vacant_bounds(config: CircleConfiguration) -> tuple[np.ndarray, np.ndarray]:
+    """Closed vacant pieces [lo[i], hi[i]], sorted and disjoint, in the doubled window [1, 2]."""
     if np.any(config.ys > 1.0):
-        return VacantIntervals(pieces=(), wraps=False)
+        return np.empty(0), np.empty(0)
     # merge the open arcs in doubled coordinates, where a circle point q is
     # covered iff q+1 lies strictly inside a merged interval; merging is
     # strict, so abutting arcs stay separate and their junction stays uncovered
@@ -133,25 +113,30 @@ def vacant_set(config: CircleConfiguration) -> VacantIntervals:
     lo = np.maximum(bounds_lo, 1.0)
     hi = np.minimum(bounds_hi, 2.0)
     keep = (bounds_lo < 2.0) & (bounds_hi >= 1.0) & (lo <= hi)
-    pieces = [(a - 1.0, b - 1.0) for a, b in zip(lo[keep], hi[keep])]
+    return lo[keep], hi[keep]
+
+
+def vacant_set(config: CircleConfiguration) -> VacantIntervals:
+    """Exact complement of the union of open projected arcs."""
+    lo, hi = _vacant_bounds(config)
+    pieces = tuple((a - 1.0, b - 1.0) for a, b in zip(lo, hi))
     wraps = len(pieces) >= 2 and pieces[0][0] == 0.0 and pieces[-1][1] == 1.0
-    return VacantIntervals(pieces=tuple(pieces), wraps=wraps)
+    return VacantIntervals(pieces=pieces, wraps=wraps)
 
 
 def is_covered(config: CircleConfiguration) -> bool:
     """True iff the open arcs cover every circle point, isolated gaps included."""
-    return vacant_set(config).is_empty
+    return not _vacant_bounds(config)[0].size
 
 
 def _lattice_vacant(config: CircleConfiguration, n: int) -> np.ndarray:
     """Vacancy indicator for the n lattice points k/n (open-arc convention)."""
-    # each piece end is a doubled coordinate in [1, 2] minus 1.0, so adding
-    # 1.0 back is exact and k/n + 1.0 meets the same bounds as in the merge
-    a, b = (np.array(vacant_set(config).pieces, dtype=np.float64).reshape(-1, 2) + 1.0).T
+    lo, hi = _vacant_bounds(config)
+    # k/n + 1.0 meets the bounds in the doubled window, as in the merge; the
+    # pieces are sorted and disjoint, so it lies in one iff more of them start
+    # at or before it than end before it
     pos = np.arange(n, dtype=np.float64) / n + 1.0
-    # the pieces are sorted and disjoint: pos lies in one iff more of them
-    # start at or before it than end before it
-    return np.searchsorted(a, pos, side="right") > np.searchsorted(b, pos, side="left")
+    return np.searchsorted(lo, pos, side="right") > np.searchsorted(hi, pos, side="left")
 
 
 def count_missing_lattice(config: CircleConfiguration, n: int) -> int:
@@ -170,7 +155,6 @@ class ProjectionSet:
 
     n: int
     mask: np.ndarray
-    variant: str
 
     @property
     def covered(self) -> frozenset[int]:
@@ -187,9 +171,8 @@ def project_W(config: CircleConfiguration, n: int) -> ProjectionSet:
     xs, ys = config.xs, config.ys
     k = np.minimum(np.floor(n * ys), n).astype(np.int64)
     keep = k >= 1
-    starts = np.ceil(n * xs[keep]).astype(np.int64) % n
-    mask = covered_mask(n, starts, k[keep])
-    return ProjectionSet(n=n, mask=mask, variant="W")
+    mask = covered_mask(n, np.ceil(n * xs[keep]).astype(np.int64), k[keep])
+    return ProjectionSet(n=n, mask=mask)
 
 
 def project_X(config: CircleConfiguration, n: int) -> ProjectionSet:
@@ -203,8 +186,8 @@ def project_X(config: CircleConfiguration, n: int) -> ProjectionSet:
     hi = np.ceil(n * (xs + ys)).astype(np.int64) - 1
     length = np.where(full, n, np.minimum(hi - lo + 1, n))
     keep = length >= 1
-    mask = covered_mask(n, lo[keep] % n, length[keep])
-    return ProjectionSet(n=n, mask=mask, variant="X")
+    mask = covered_mask(n, lo[keep], length[keep])
+    return ProjectionSet(n=n, mask=mask)
 
 
 # -- series diagnostic and fractal exponent ----------------------------------

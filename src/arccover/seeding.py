@@ -28,23 +28,6 @@ def derive_seed(base: int, n: int, replicate: int) -> int:
     return h
 
 
-def derive_seeds(base: int, n: int, replicates: np.ndarray) -> np.ndarray:
-    """Vectorized derive_seed over a uint64 replicate array."""
-    with np.errstate(over="ignore"):
-        m1 = np.uint64(_M1)
-        m2 = np.uint64(_M2)
-
-        def fin(x):
-            x = (x ^ (x >> np.uint64(30))) * m1
-            x = (x ^ (x >> np.uint64(27))) * m2
-            return x ^ (x >> np.uint64(31))
-
-        h = fin(np.uint64(base ^ _K0))
-        h = fin(h + np.uint64(_K1) * np.uint64(n & _MASK))
-        h = fin(h + np.uint64(_K2) * replicates.astype(np.uint64))
-    return h
-
-
 def generator(seed: int) -> np.random.Generator:
     """The repository PRNG: PCG64 (period 2^128), seeded deterministically."""
     return np.random.Generator(np.random.PCG64(seed))

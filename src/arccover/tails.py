@@ -14,13 +14,11 @@ import numpy as np
 
 __all__ = [
     "TailFunction",
-    "TailMoments",
     "TailExhaustedError",
     "parse_tail",
     "tail_prefix_total",
     "karamata_ratio",
     "rv_limit_probe",
-    "moment_diagnostic",
     "cf_estimate",
     "star_probe",
     "triangle_probe",
@@ -242,26 +240,9 @@ def parse_tail(spec: str) -> TailFunction:
     return TailFunction(name, float(arg))
 
 
-# -- prefix sums and moments ---------------------------------------------
+# -- prefix sums ------------------------------------------------------------
 
 _CHUNK = 1 << 16
-
-
-def _chunks(tail: TailFunction, n: int):
-    """(start, the array f(start), ..., f(stop - 1)) for consecutive chunks of 1..n."""
-    for start in range(1, n + 1, _CHUNK):
-        yield start, tail.values(np.arange(start, min(start + _CHUNK, n + 1), dtype=np.int64))
-
-
-def _prefix_array(tail: TailFunction, n_max: int) -> np.ndarray:
-    """prefix[k] = sum_{i<=k} f(i); chunked cumsum with an fsum-compensated carry."""
-    out = np.empty(n_max + 1, dtype=np.float64)
-    out[0] = 0.0
-    parts: list[float] = []
-    for start, vals in _chunks(tail, n_max):
-        out[start:start + vals.size] = math.fsum(parts) + np.cumsum(vals)
-        parts.append(math.fsum(vals))
-    return out
 
 
 @lru_cache(maxsize=128)
@@ -274,35 +255,8 @@ def tail_prefix_total(tail: TailFunction, n: int) -> float:
     if tail.family == "geom":
         q = tail.param
         return (1.0 - q**n) / (1.0 - q)
-    return math.fsum([math.fsum(vals) for _start, vals in _chunks(tail, n)])
-
-
-class TailMoments:
-    """Cached prefix sums F_k and the normalized sequence g_k = F_k / mu."""
-
-    def __init__(self, tail: TailFunction, n_max: int):
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        self.tail = tail
-        self.n_max = n_max
-        self.prefix = _prefix_array(tail, n_max)
-        self.mu = tail.mean()
-
-    def prefix_sum(self, k: int) -> float:
-        if not 1 <= k <= self.n_max:
-            raise IndexError(f"k={k} outside [1, {self.n_max}]")
-        return float(self.prefix[k])
-
-    def g_value(self, k: int) -> float:
-        if self.mu is None:
-            raise ValueError(f"infinite mean: family {self.tail.family!r} has no g sequence")
-        return self.prefix_sum(k) / self.mu
-
-    @property
-    def g(self) -> np.ndarray | None:
-        if self.mu is None:
-            return None
-        return self.prefix[1:] / self.mu
+    return math.fsum([math.fsum(tail.values(np.arange(start, min(start + _CHUNK, n + 1), dtype=np.int64)))
+                      for start in range(1, n + 1, _CHUNK)])
 
 
 # -- regular-variation diagnostics ----------------------------------------
@@ -323,15 +277,6 @@ def rv_limit_probe(tail: TailFunction, t: float, x: int) -> float:
     if fx == 0.0:
         raise TailExhaustedError(f"tail exhausted: f({x}) = 0")
     return tail.value(int(x * t)) / fx
-
-
-def moment_diagnostic(tail: TailFunction, lam: float, k: int) -> float:
-    """f(k) k^(1+lambda) ln k; vanishes iff the light-tail moment condition holds."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return tail.value(k) * float(k) ** (1.0 + lam) * math.log(k)
 
 
 def cf_estimate(tail: TailFunction, n: int) -> float:

@@ -3,10 +3,11 @@
 Every random quantity comes from one pinned arc stream per seed: uniform
 starts on Z/nZ and radii drawn from the tail by inverse transform, written out
 once in ``_first_cover`` (cover times) and once in ``_covered_at`` (the arcs
-present at a fixed Poisson time). Coverage has one kernel, the doubled-index
-prefix-max sweep ``_CoverSweep``, in O(n + arcs) vectorized work; every
-coverage or vacancy question is read off its mask. The arc-by-arc reference
-engines that tests compare the sweep against live in ``tests/oracles.py``.
+present at a fixed Poisson time). Coverage has one kernel, the one-pass
+prefix-max sweep ``_CoverSweep`` with a wrap term, in O(n + arcs) vectorized
+work over n-sized buffers; every coverage or vacancy question is read off its
+mask. The arc-by-arc reference engines that tests compare the sweep against
+live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -48,54 +49,48 @@ class CoverResult:
 
 
 class _CoverSweep:
-    """Reusable buffers for the doubled-index prefix-max coverage sweep.
+    """Reusable n-sized buffers for the one-pass prefix-max coverage sweep.
 
-    For arcs {start, ..., start+len-1} mod n, a site v is covered iff some
-    doubled start p <= v+n has p + len(p) > v+n, so one prefix max of
-    p + L[p mod n] answers all queries. O(n + #arcs) per call.
+    For arcs {p, ..., p+L[p]-1} mod n with L[p] <= n, site v is covered iff
+    max over p <= v of p + L[p] exceeds v, or max over all p of p + L[p] - n
+    (the wrap term) exceeds v. Taking the wrap max over all p is safe: an arc
+    from p <= v that reaches v + n also reaches v. O(n + #arcs) per call.
     """
 
     def __init__(self, n: int):
-        # reach[] holds p + L[p mod n] <= 3n - 1 in int32; checked before allocating
+        # reach[] holds p + L[p] <= 2n - 1 in int32; checked before allocating
         if n > SWEEP_N_LIMIT:
             raise ValueError(f"torus size {n} exceeds {SWEEP_N_LIMIT}, the int32 limit of the coverage sweep")
         self.n = n
         self._L = np.zeros(n, dtype=np.int32)
-        self._reach = np.empty(2 * n, dtype=np.int32)
-        self._base = np.arange(2 * n, dtype=np.int32)
+        self._reach = np.empty(n, dtype=np.int32)
+        self._base = np.arange(n, dtype=np.int32)
 
     def accumulate(self, starts, lengths):
         """Fold a chunk of arcs into the per-start max-length table."""
         if len(starts):
             np.maximum.at(self._L, starts, lengths.astype(np.int32, copy=False))
 
-    def finish(self, query=None, clear=None):
-        """Run the sweep on the accumulated table; ``clear`` lists starts to reset."""
-        n = self.n
-        L = self._L
+    def finish(self, clear=None):
+        """Mask of covered sites from the accumulated table; ``clear`` lists starts to reset."""
         reach = self._reach
-        reach[:n] = L
-        reach[n:] = L
-        reach += self._base
+        np.add(self._base, self._L, out=reach)
         np.maximum.accumulate(reach, out=reach)
+        np.maximum(reach, reach[-1] - self.n, out=reach)
         if clear is not None and len(clear):
-            L[clear] = 0
-        if query is None:
-            q = self._base[n:]
-            return reach[n:] > q
-        q = np.asarray(query, dtype=np.int64) + n
-        return reach[q] > q
+            self._L[clear] = 0
+        return reach > self._base
 
-    def covered(self, starts, lengths, query=None):
-        """Mask of covered sites (all of them, or only ``query``); lengths <= n."""
+    def covered(self, starts, lengths):
+        """Mask of the sites covered by these arcs alone (starts in [0, n), lengths <= n)."""
         self.accumulate(starts, lengths)
-        return self.finish(query=query, clear=starts)
+        return self.finish(clear=starts)
 
 
 def covered_mask(n: int, starts: np.ndarray, lengths: np.ndarray):
-    """One-shot coverage of the union of arcs {start, ..., start+len-1} mod n."""
+    """One-shot coverage of the union of arcs {start, ..., start+len-1} mod n, each start taken mod n."""
     lengths = np.minimum(np.asarray(lengths, dtype=np.int64), n)
-    return _CoverSweep(n).covered(np.asarray(starts, dtype=np.int64), lengths)
+    return _CoverSweep(n).covered(np.asarray(starts, dtype=np.int64) % n, lengths)
 
 
 def _default_batch(tail: TailFunction, n: int) -> int:
@@ -140,20 +135,20 @@ def run_to_cover(tail: TailFunction, n: int, seed: int, batch_size: int | None =
     one standard exponential per placed arc.
     """
     sweep = _CoverSweep(n)
-    vacant = np.arange(n, dtype=np.int64)
+    before = np.zeros(n, dtype=bool)
 
     def place(u, r):
-        # sweep the batch against the sites still vacant; on cover, bisect for
-        # the shortest prefix of the batch that covers them
-        nonlocal vacant
-        cov = sweep.covered(u, r, vacant)
+        # join the batch's mask to the earlier batches' coverage; on cover,
+        # bisect for the shortest prefix of the batch that covers the rest
+        nonlocal before
+        cov = sweep.covered(u, r) | before
         if not cov.all():
-            vacant = vacant[~cov]
+            before = cov
             return None
         lo, hi = 1, len(u)
         while lo < hi:
             mid = (lo + hi) // 2
-            if bool(sweep.covered(u[:mid], r[:mid], vacant).all()):
+            if bool((sweep.covered(u[:mid], r[:mid]) | before).all()):
                 hi = mid
             else:
                 lo = mid + 1
@@ -167,12 +162,11 @@ def run_to_cover(tail: TailFunction, n: int, seed: int, batch_size: int | None =
 _DRAW_CHUNK = 1 << 22
 
 
-def _covered_at(tail: TailFunction, n: int, t: float, seed: int, query=None) -> np.ndarray:
-    """Coverage at Poisson time t: N ~ Poisson(t) arcs swept into one mask.
+def _covered_at(tail: TailFunction, n: int, t: float, seed: int) -> np.ndarray:
+    """Coverage of every site at Poisson time t: N ~ Poisson(t) arcs swept into one mask.
 
-    Returns the mask of every site, or of the sites in ``query`` (each in
-    [0, n)). Each chunk of m arcs takes m starts, then m uniforms turned into
-    radii (clamped to n).
+    Each chunk of m arcs takes m starts, then m uniforms turned into radii
+    (clamped to n).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -185,7 +179,7 @@ def _covered_at(tail: TailFunction, n: int, t: float, seed: int, query=None) -> 
         # sits below finish's allocations and keeps the heap from shrinking
         sweep.accumulate(rng.integers(0, n, m, dtype=np.int64),
                          tail.sample_radii(1.0 - rng.random(m), cap=n))
-    return sweep.finish(query)
+    return sweep.finish()
 
 
 def snapshot_vacant(tail: TailFunction, n: int, t: float, seed: int):
@@ -202,7 +196,7 @@ def snapshot_vacant(tail: TailFunction, n: int, t: float, seed: int):
 
 def site_vacancy(tail: TailFunction, n: int, t: float, seed: int, sites) -> np.ndarray:
     """Vacancy indicators at Poisson time t for ``sites``, each taken mod n."""
-    return ~_covered_at(tail, n, t, seed, np.asarray(sites, dtype=np.int64) % n)
+    return ~_covered_at(tail, n, t, seed)[np.asarray(sites, dtype=np.int64) % n]
 
 
 # -- exact vacancy formulas ---------------------------------------------------

@@ -12,11 +12,15 @@ does not collect it.
 
 ``lattice_vacant_reference`` does the same for the circle model: it checks
 each lattice point against each arc in turn.
+
+``derive_seeds`` is ``derive_seed`` vectorized over replicates, fast enough for
+the seed collision scan.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
+from arccover.seeding import _K0, _K1, _K2, _M1, _M2, _MASK
 from arccover.tails import TailFunction
 from arccover.torus import CoverResult, _first_cover
 
@@ -168,3 +172,20 @@ def lattice_vacant_reference(xs, ys, n: int) -> np.ndarray:
             if x < p < x + y or x + 1.0 < p < x + y + 1.0:
                 vacant[k] = False
     return vacant
+
+
+def derive_seeds(base: int, n: int, replicates: np.ndarray) -> np.ndarray:
+    """Vectorized derive_seed over a uint64 replicate array."""
+    with np.errstate(over="ignore"):
+        m1 = np.uint64(_M1)
+        m2 = np.uint64(_M2)
+
+        def fin(x):
+            x = (x ^ (x >> np.uint64(30))) * m1
+            x = (x ^ (x >> np.uint64(27))) * m2
+            return x ^ (x >> np.uint64(31))
+
+        h = fin(np.uint64(base ^ _K0))
+        h = fin(h + np.uint64(_K1) * np.uint64(n & _MASK))
+        h = fin(h + np.uint64(_K2) * replicates.astype(np.uint64))
+    return h

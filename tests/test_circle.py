@@ -190,19 +190,6 @@ class TestTruncationMonotonicity:
             cfg.truncate(0.001)
 
 
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        cfg = sample_truncated(2.0, 0.01, seed=5)
-        back = CircleConfiguration.from_text(cfg.to_text())
-        assert back.alpha == cfg.alpha and back.z == cfg.z
-        assert np.array_equal(back.xs, cfg.xs)
-        assert np.array_equal(back.ys, cfg.ys)
-
-    def test_header_count_checked(self):
-        with pytest.raises(ValueError):
-            CircleConfiguration.from_text("1 0.5 3\n0.1 0.6\n")
-
-
 class TestProjections:
     def test_w_example(self):
         cfg = config([(0.0, 0.25)], z=0.05)

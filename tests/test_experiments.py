@@ -15,9 +15,10 @@ from arccover.experiments import (
     scale_sample,
     vacancy_frequency,
 )
-from arccover.seeding import derive_seeds
 from arccover.tails import TailFunction, parse_tail
 from arccover.torus import CoverResult, run_to_cover
+
+from oracles import derive_seeds
 
 
 class TestDeriveSeed:

@@ -10,6 +10,10 @@ item 4(d)), because its lower bounds are written into the summary.
 The fixed-time torus outputs are pinned the same way: ``snapshot_vacant``
 (vacant count and indices) and ``site_vacancy`` (at sites spread over
 [-n, 2n), so the mod-n reduction is pinned too) at three seeds per shape.
+
+``run_to_cover`` is pinned over (tail, n, seed, batch size) with batch sizes 1
+and 64 next to the default, so the multi-batch path and the final-batch
+bisection are pinned at batch boundaries the preset digests never reach.
 """
 import dataclasses
 import hashlib
@@ -19,7 +23,7 @@ import pytest
 
 from arccover.experiments import PRESETS, preset_config, run_experiment
 from arccover.tails import parse_tail
-from arccover.torus import site_vacancy, snapshot_vacant
+from arccover.torus import run_to_cover, site_vacancy, snapshot_vacant
 
 REPLICATES = 2
 
@@ -70,3 +74,19 @@ def test_fixed_time_digest(shape):
         snap.update(count.to_bytes(8, "little") + idx.astype(np.int64).tobytes())
         site.update(site_vacancy(tail, n, t, seed, sites).tobytes())
     assert (snap.hexdigest(), site.hexdigest()) == FIXED_TIME_GOLDEN[shape]
+
+
+RUN_TO_COVER_TAILS = ("const:1", "const:3", "geom:0.5", "logpow:0", "logpow:1", "pow:-0.5", "slowlog")
+RUN_TO_COVER_GOLDEN = "1943e4f3c43e604ec9949a96f25fd67f35fbed8ad4568787597226a668df3417"
+
+
+def test_run_to_cover_digest():
+    h = hashlib.sha256()
+    for spec in RUN_TO_COVER_TAILS:
+        tail = parse_tail(spec)
+        for n in (1, 7, 100, 1000):
+            for seed in range(6):
+                for batch_size in (None, 1, 64):
+                    r = run_to_cover(tail, n, seed, batch_size=batch_size)
+                    h.update(f"{spec} {n} {seed} {batch_size} {r.tau} {r.T!r} {r.max_radius}\n".encode())
+    assert h.hexdigest() == RUN_TO_COVER_GOLDEN

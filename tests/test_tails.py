@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from arccover.tails import (
     TailExhaustedError,
     TailFunction,
-    TailMoments,
     cf_estimate,
     karamata_ratio,
-    moment_diagnostic,
     parse_tail,
     rv_limit_probe,
     tail_prefix_total,
@@ -140,59 +138,33 @@ class TestSampling:
 
 
 class TestMoments:
+    # F_k = sum_{r<=k} f(r) = E[min(R, k)], the truncated first moment of the radius
+
     def test_const_one_prefix(self):
-        m = TailMoments(TailFunction.constant(1), 100)
-        assert m.prefix_sum(1) == 1.0
-        assert m.prefix_sum(77) == 1.0
+        assert tail_prefix_total(TailFunction.constant(1), 1) == 1.0
+        assert tail_prefix_total(TailFunction.constant(1), 77) == 1.0
 
     def test_const_two_prefix(self):
-        assert TailMoments(TailFunction.constant(2), 10).prefix_sum(5) == 2.0
+        assert tail_prefix_total(TailFunction.constant(2), 5) == 2.0
 
     def test_harmonic_prefix(self):
         # oracle: fsum of the harmonic series
-        m = TailMoments(TailFunction.log_power(0.0), 10)
-        assert m.prefix_sum(4) == pytest.approx(math.fsum(1.0 / k for k in (1, 2, 3, 4)), rel=1e-15)
+        got = tail_prefix_total(TailFunction.log_power(0.0), 4)
+        assert got == pytest.approx(math.fsum(1.0 / k for k in (1, 2, 3, 4)), rel=1e-15)
 
     @pytest.mark.parametrize("tail", FAMILIES, ids=lambda t: t.spec_string)
     def test_prefix_matches_direct_summation(self, tail):
         n = 10**4
-        m = TailMoments(tail, n)
         direct = math.fsum(tail.values(np.arange(1, n + 1)))
-        assert m.prefix_sum(n) == pytest.approx(direct, rel=1e-12)
+        assert tail_prefix_total(tail, n) == pytest.approx(direct, rel=1e-12)
         k = 3517
-        assert m.prefix_sum(k) == pytest.approx(math.fsum(tail.values(np.arange(1, k + 1))), rel=1e-12)
+        assert tail_prefix_total(tail, k) == pytest.approx(math.fsum(tail.values(np.arange(1, k + 1))), rel=1e-12)
 
     @pytest.mark.slow
     def test_prefix_million_relative_error(self):
         tail = TailFunction.pure_power(-0.5)
-        m = TailMoments(tail, 10**6)
         direct = math.fsum(tail.values(np.arange(1, 10**6 + 1)))
-        assert abs(m.prefix_sum(10**6) - direct) / direct < 1e-9
-
-    def test_g_examples(self):
-        assert TailMoments(TailFunction.constant(2), 5).g_value(1) == 0.5
-        assert TailMoments(TailFunction.constant(1), 10).g_value(7) == 1.0
-        assert TailMoments(TailFunction.geometric(0.5), 5).g_value(2) == pytest.approx(0.75, abs=1e-15)
-
-    def test_g_monotone_bounded(self):
-        m = TailMoments(TailFunction.geometric(0.3), 2000)
-        g = m.g
-        assert np.all(np.diff(g) >= 0.0)
-        assert g[-1] <= 1.0 + 1e-15
-        assert m.g_value(1) == pytest.approx(1.0 / m.mu)
-
-    def test_infinite_mean_signals(self):
-        for fam in ("logpow:0.5", "pow:-0.5", "slowlog"):
-            m = TailMoments(parse_tail(fam), 10)
-            with pytest.raises(ValueError, match="infinite mean"):
-                m.g_value(3)
-
-    def test_out_of_rangeel(self):
-        m = TailMoments(TailFunction.constant(1), 10)
-        with pytest.raises(IndexError):
-            m.prefix_sum(11)
-        with pytest.raises(IndexError):
-            m.prefix_sum(0)
+        assert abs(tail_prefix_total(tail, 10**6) - direct) / direct < 1e-9
 
 
 class TestDiagnostics:
@@ -230,17 +202,6 @@ class TestDiagnostics:
     def test_rv_probe_exhausted(self):
         with pytest.raises(TailExhaustedError):
             rv_limit_probe(TailFunction.constant(2), 2.0, 5)
-
-    def test_moment_diagnostic_values(self):
-        got = moment_diagnostic(TailFunction.geometric(0.5), 1.0, 100)
-        want = 0.5**99 * 100.0**2 * math.log(100.0)
-        assert got == pytest.approx(want, rel=1e-12)
-        assert want == pytest.approx(7.27e-26, rel=0.01)
-        assert moment_diagnostic(TailFunction.constant(3), 2.0, 10) == 0.0
-
-    def test_moment_diagnostic_diverges_for_heavy(self):
-        got = moment_diagnostic(TailFunction.log_power(0.0), 0.5, 10**6)
-        assert got == pytest.approx(10**3 * math.log(10**6), rel=1e-6)
 
     @pytest.mark.slow
     def test_cf_estimates(self):

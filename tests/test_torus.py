@@ -110,25 +110,41 @@ class TestCoveredMask:
         m = covered_mask(3, np.array([1]), np.array([50]))
         assert m.all()
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_wrap_term(self, n):
+        # a length-n arc from the last site covers everything; a length-2 arc
+        # there covers the last site and site 0 only
+        assert covered_mask(n, np.array([n - 1]), np.array([n])).all()
+        expected = np.zeros(n, dtype=bool)
+        expected[[n - 1, 0]] = True
+        assert covered_mask(n, np.array([n - 1]), np.array([2])).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_no_arcs(self, n):
+        empty = np.array([], dtype=np.int64)
+        assert covered_mask(n, empty, empty).tolist() == [False] * n
+
     @given(
         n=st.integers(min_value=1, max_value=48),
-        arcs=st.lists(st.tuples(st.integers(0, 47), st.integers(1, 60)), max_size=40),
+        arcs=st.lists(st.tuples(st.integers(-96, 95), st.integers(1, 60)), max_size=40),
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_naive_union(self, n, arcs):
+        # starts drawn from [-2n, 2n) to check the mod-n reduction
         naive = NaiveCoverState(n)
         starts, lens = [], []
         for u, r in arcs:
+            u = u % (4 * n) - 2 * n
             naive.place_arc(u % n, r)
-            starts.append(u % n)
+            starts.append(u)
             lens.append(r)
         got = covered_mask(n, np.array(starts, dtype=np.int64), np.array(lens, dtype=np.int64))
         assert got.tolist() == naive.covered.tolist()
 
 
     def test_int32_guard(self):
-        # the sweep's int32 reach array holds values up to 3n - 1; the guard
-        # must reject n before any n-sized buffer is allocated
+        # the sweep's int32 reach array holds values up to 2n - 1, inside the
+        # limit; the guard must reject n before any n-sized buffer is allocated
         n = (2**31 - 1) // 3 + 1
         assert n == 715_827_883
         with pytest.raises(ValueError, match="int32"):
