@@ -156,10 +156,6 @@ class ProjectionSet:
     n: int
     mask: np.ndarray
 
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.mask).tolist())
-
     def issubset(self, other: "ProjectionSet") -> bool:
         return bool(np.all(other.mask[self.mask]))
 
@@ -202,7 +198,7 @@ _SLOPE_GUARD = 1e-3  # numerical margin at the -1 boundary (harmonic case fits a
 def shepp_series(lengths, N: int):
     """Partial sums of n^-2 exp(l_1 + ... + l_n) and a divergence classification.
 
-    ``lengths`` is a callable n -> l_n or an iterable; l must be non-increasing
+    ``lengths`` is a callable n -> l_n; l must be non-increasing
     in [0, 1). Classification fits the log-log slope of the terms over the last
     decade: slope >= -1 (minus a small numerical guard) means diverging, slope
     below -1.05 means converging, anything between is inconclusive.
@@ -212,10 +208,7 @@ def shepp_series(lengths, N: int):
     if N > 10**7:
         raise ValueError("N capped at 10**7")
     idx = np.arange(1, N + 1, dtype=np.float64)
-    if callable(lengths):
-        ell = np.asarray([lengths(int(i)) for i in range(1, N + 1)], dtype=np.float64)
-    else:
-        ell = np.fromiter(lengths, dtype=np.float64, count=N)
+    ell = np.asarray([lengths(i) for i in range(1, N + 1)], dtype=np.float64)
     if np.any(ell < 0.0) or np.any(ell > 1.0):
         raise ValueError("arc lengths must lie in [0, 1]")
     if np.any(np.diff(ell) > 0.0):

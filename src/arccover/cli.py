@@ -96,7 +96,7 @@ def _reject_repeats(args: argparse.Namespace) -> None:
 
 
 def _gate_cover(summary: dict) -> list[str]:
-    """Phase KS gates evaluated at the largest n (trend against the smallest)."""
+    """Phase gates evaluated at the largest n (KS trend against the smallest)."""
     failures = []
     phase = summary["phase"]
     groups = summary["groups"]
@@ -119,7 +119,28 @@ def _gate_cover(summary: dict) -> list[str]:
                 if not chk["within_003"]:
                     failures.append(f"{key}: ECDF({alpha}) = {chk['ecdf']:.4f} outside "
                                     f"[{chk['lower']:.4f} - 0.03, {chk['upper']:.4f} + 0.03]")
+    elif phase == "dimension":
+        # one group per alpha, keyed alpha=<a>|n=<n>
+        top_n = by_n[-1][0].split("|")[1]
+        for key, group in by_n:
+            alpha, n = key.split("|")
+            if n != top_n:
+                continue
+            target = 1.0 - float(alpha.removeprefix("alpha="))
+            mean_exp = group["conditional_mean_exponent"]
+            if group["accepted"] < 30:
+                failures.append(f"{group['accepted']} non-covered configurations < 30 at {key}")
+            elif abs(mean_exp - target) > 0.1:
+                failures.append(f"exponent {mean_exp:.4f} not within 0.1 of {target:g} at {key}")
     return failures
+
+
+def _failed_gates(summary: dict) -> bool:
+    """Print each failed gate of ``summary``; True when any failed."""
+    failures = _gate_cover(summary)
+    for f in failures:
+        print(f"GATE FAIL: {f}")
+    return bool(failures)
 
 
 def _cmd_cover(args) -> int:
@@ -127,10 +148,7 @@ def _cmd_cover(args) -> int:
     paths, summary = run_experiment(config, workers=args.workers)
     print(f"wrote {paths['csv']} {paths['summary']}")
     if args.assert_gates:
-        failures = _gate_cover(summary)
-        for f in failures:
-            print(f"GATE FAIL: {f}")
-        if failures:
+        if _failed_gates(summary):
             return EXIT_GATE
         print("gates passed")
     return EXIT_OK
@@ -206,10 +224,7 @@ def _cmd_dimension(args) -> int:
     mean_exp = group["conditional_mean_exponent"]
     result = {"alpha": alpha, "n": n, "conditional_mean_exponent": mean_exp, "accepted": accepted}
     _emit_json(result, args.out)
-    if args.assert_gates and abs(mean_exp - (1.0 - alpha)) > 0.1:
-        print(f"GATE FAIL: exponent {mean_exp:.4f} not within 0.1 of {1 - alpha:g}")
-        return EXIT_GATE
-    return EXIT_OK
+    return EXIT_GATE if args.assert_gates and _failed_gates(summary) else EXIT_OK
 
 
 def _parse_length_sequence(spec: str):
@@ -241,10 +256,7 @@ def _cmd_calibrate(args) -> int:
     paths, summary = run_experiment(config, workers=args.workers)
     [group] = summary["groups"].values()
     print(f"wrote {paths['csv']}; KS vs Gumbel = {group['ks']['D']:.4f}")
-    if args.assert_gates and group["ks"]["D"] > 0.05:
-        print("GATE FAIL: calibration KS above 0.05")
-        return EXIT_GATE
-    return EXIT_OK
+    return EXIT_GATE if args.assert_gates and _failed_gates(summary) else EXIT_OK
 
 
 def _cmd_karamata(args) -> int:

@@ -68,6 +68,8 @@ class ExperimentConfig:
             tail = parse_tail(self.tail)
             if self.phase == "gumbel" and tail.mean() is None:
                 raise ValueError("gumbel phase requires a finite-mean family")
+        if any(not a >= 0.0 for a in self.alpha_list):
+            raise ValueError("every alpha must be >= 0")
         if self.phase in ("shepp_pi", "dimension") and not self.alpha_list:
             raise ValueError(f"{self.phase} phase needs alpha_list")
         if self.phase == "dimension" and any(not 0.0 < a < 1.0 for a in self.alpha_list):
@@ -222,6 +224,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     Returns (paths dict, summary dict). Output bytes depend only on the config,
     never on the worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.monotonic()
     tasks = _task_list(config)
     fn = _TASKS[config.phase]

@@ -58,27 +58,6 @@ class TailFunction:
         if self.family == "pow" and not -1.0 < p < 0.0:
             raise ValueError("pow exponent must lie in (-1,0)")
 
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def constant(cls, c: int) -> "TailFunction":
-        return cls("const", float(c))
-
-    @classmethod
-    def geometric(cls, q: float) -> "TailFunction":
-        return cls("geom", q)
-
-    @classmethod
-    def log_power(cls, b: float) -> "TailFunction":
-        return cls("logpow", b)
-
-    @classmethod
-    def pure_power(cls, p: float) -> "TailFunction":
-        return cls("pow", p)
-
-    @classmethod
-    def slow_log(cls) -> "TailFunction":
-        return cls("slowlog", 0.0)
-
     # -- basic values -----------------------------------------------------
     @property
     def spec_string(self) -> str:
@@ -106,25 +85,10 @@ class TailFunction:
         return min(1.0, float(self._raw_logpow(np.array([2.0]))[0]))
 
     def value(self, r) -> float:
-        """f(r) = P(R >= r). Accepts arbitrarily large integers."""
-        if r < 1:
-            raise ValueError("radius argument must be >= 1")
-        fam = self.family
-        if fam == "const":
-            return 1.0 if r <= self.param else 0.0
-        if r == 1:
-            return 1.0
-        if r <= 2**53:
-            return float(self.values(np.asarray([r], dtype=np.int64))[0])
-        # log-space fallback for astronomically large radii
-        lr = math.log(r)
-        if fam == "geom":
-            return 0.0
-        if fam == "pow":
-            return math.exp(self.param * lr)
-        if fam == "slowlog":
-            return 1.0 / (1.0 + lr)
-        return min(self._envelope_head(), math.exp(self.param * math.log(lr) - lr))
+        """f(r) = P(R >= r) for one integer radius 1 <= r <= 2**53."""
+        if not 1 <= r <= 2**53:
+            raise ValueError("radius argument must lie in [1, 2**53]")
+        return float(self.values(np.asarray([r], dtype=np.int64))[0])
 
     def values(self, r: np.ndarray) -> np.ndarray:
         """Vectorized f over an int64 array of radii >= 1."""
@@ -152,29 +116,6 @@ class TailFunction:
         return out
 
     # -- sampling ----------------------------------------------------------
-    def sample_radius(self, u: float) -> int:
-        """Exact inverse transform: max{r >= 1 : f(r) >= u} for u in (0,1]."""
-        if not 0.0 < u <= 1.0:
-            raise ValueError("u must lie in (0,1]")
-        if self.family == "const":
-            return int(self.param)
-        if self.value(2) < u:
-            return 1
-        lo, hi = 2, 4
-        steps = 0
-        while self.value(hi) >= u:
-            lo, hi = hi, hi * 2
-            steps += 1
-            if steps > 256:
-                raise OverflowError("radius quantile exceeds 2**258; use sample_radii with a cap instead")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.value(mid) >= u:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
     def sample_radii(self, u: np.ndarray, cap: int) -> np.ndarray:
         """Vectorized inverse transform clamped at cap: min(R, cap), exact below cap."""
         u = np.asarray(u, dtype=np.float64)
@@ -231,13 +172,11 @@ class TailFunction:
 def parse_tail(spec: str) -> TailFunction:
     """Parse a config-file family string such as 'geom:0.5' (case-sensitive)."""
     if spec == "slowlog":
-        return TailFunction.slow_log()
+        return TailFunction("slowlog")
     name, sep, arg = spec.partition(":")
     if not sep or name not in ("const", "geom", "logpow", "pow"):
         raise ValueError(f"unrecognized tail spec {spec!r}")
-    if name == "const":
-        return TailFunction.constant(int(arg))
-    return TailFunction(name, float(arg))
+    return TailFunction(name, float(int(arg)) if name == "const" else float(arg))
 
 
 # -- prefix sums ------------------------------------------------------------

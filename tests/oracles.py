@@ -13,6 +13,10 @@ does not collect it.
 ``lattice_vacant_reference`` does the same for the circle model: it checks
 each lattice point against each arc in turn.
 
+``sample_radius_reference`` is the scalar inverse transform of a tail, found
+by doubling and bisection on ``TailFunction.value``; tests check the
+vectorized ``TailFunction.sample_radii`` against it.
+
 ``derive_seeds`` is ``derive_seed`` vectorized over replicates, fast enough for
 the seed collision scan.
 """
@@ -172,6 +176,23 @@ def lattice_vacant_reference(xs, ys, n: int) -> np.ndarray:
             if x < p < x + y or x + 1.0 < p < x + y + 1.0:
                 vacant[k] = False
     return vacant
+
+
+def sample_radius_reference(tail: TailFunction, u: float, cap: int) -> int:
+    """min(R, cap) for R = max{r >= 1 : f(r) >= u}, one value of f at a time."""
+    # f(1) = 1 >= u, so lo always satisfies f(lo) >= u; hi is the first
+    # doubling past cap or with f(hi) < u
+    lo, hi = 1, 2
+    while hi <= cap and tail.value(hi) >= u:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, cap + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail.value(mid) >= u:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def derive_seeds(base: int, n: int, replicates: np.ndarray) -> np.ndarray:

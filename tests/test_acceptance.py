@@ -30,7 +30,7 @@ from arccover.experiments import (
 )
 from arccover.seeding import derive_seed, generator
 from arccover.stats import OffspringLaw, extinction_frequency, kesten_stigum_check
-from arccover.tails import TailFunction, cf_estimate, karamata_ratio, parse_tail, tail_prefix_total
+from arccover.tails import cf_estimate, karamata_ratio, parse_tail, tail_prefix_total
 from arccover.torus import pair_vacancy_exact, run_to_cover, snapshot_vacant, vacancy_probability_exact
 
 from oracles import NaiveCoverState, TorusCoverState
@@ -91,7 +91,7 @@ def test_01_oracle_equivalence():
 
 
 def test_02_exact_vacancy_formulas():
-    tail = TailFunction.constant(1)
+    tail = parse_tail("const:1")
     replicates = 20000
     ok = True
     details = []
@@ -143,7 +143,7 @@ def test_03_gumbel_phase(gumbel_runs):
 
 
 def test_04_concentration():
-    tail = TailFunction.geometric(0.5)
+    tail = parse_tail("geom:0.5")
     n = 10**6
     alpha = 0.5
     mu = 2.0
@@ -370,10 +370,10 @@ def test_12_karamata():
     ok = True
     details = []
     for p in (-0.75, -0.5, -0.25):
-        err = abs(karamata_ratio(TailFunction.pure_power(p), 10**6) - (p + 1.0))
+        err = abs(karamata_ratio(parse_tail(f"pow:{p}"), 10**6) - (p + 1.0))
         ok &= err <= 1e-2
         details.append(f"p={p}: err={err:.2e}")
-    cf = cf_estimate(TailFunction.pure_power(-0.5), 10**6)
+    cf = cf_estimate(parse_tail("pow:-0.5"), 10**6)
     cf_ok = abs(cf - 2.0) <= 2e-2
     ok &= cf_ok
     details.append(f"C_f={cf:.4f} (|C_f - 2| <= 0.02 {'ok' if cf_ok else 'BAD'})")

@@ -15,7 +15,7 @@ from arccover.experiments import (
     scale_sample,
     vacancy_frequency,
 )
-from arccover.tails import TailFunction, parse_tail
+from arccover.tails import parse_tail
 from arccover.torus import CoverResult, run_to_cover
 
 from oracles import derive_seeds
@@ -30,8 +30,8 @@ class TestDeriveSeed:
         grid = 2048
         reps = np.arange(grid, dtype=np.uint64)
         for base in (0x9E3779B97F4A7C15, 12345, 2**63 + 11):
-            seen = np.concatenate([derive_seeds(base, n, reps) for n in range(grid)])
-            assert np.unique(seen).size == seen.size
+            seen = np.sort(np.concatenate([derive_seeds(base, n, reps) for n in range(grid)]))
+            assert not np.any(seen[1:] == seen[:-1])
 
     def test_vectorized_matches_scalar(self):
         reps = np.arange(50, dtype=np.uint64)
@@ -60,15 +60,15 @@ class TestScaleSample:
 
     def test_gumbel_centering(self):
         res = CoverResult(n=100, tau=500, T=100.0 * math.log(100.0), max_radius=1, seed=1)
-        assert scale_sample("gumbel", TailFunction.constant(1), 100, res) == pytest.approx(0.0, abs=1e-12)
+        assert scale_sample("gumbel", parse_tail("const:1"), 100, res) == pytest.approx(0.0, abs=1e-12)
 
     def test_exponential_unit(self):
-        f = TailFunction.slow_log()
+        f = parse_tail("slowlog")
         res = CoverResult(n=10**4, tau=3, T=1.0 / f.value(10**4), max_radius=10**4, seed=1)
         assert scale_sample("exponential", f, 10**4, res) == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_in_T(self):
-        f = TailFunction.geometric(0.5)
+        f = parse_tail("geom:0.5")
         lo = CoverResult(n=50, tau=5, T=10.0, max_radius=9, seed=1)
         hi = CoverResult(n=50, tau=5, T=11.0, max_radius=9, seed=1)
         for phase in ("gumbel", "compact", "bstar", "preexp", "exponential"):
@@ -77,7 +77,7 @@ class TestScaleSample:
     def test_infinite_mean_rejected(self):
         res = CoverResult(n=100, tau=5, T=10.0, max_radius=3, seed=1)
         with pytest.raises(ValueError):
-            scale_sample("gumbel", TailFunction.slow_log(), 100, res)
+            scale_sample("gumbel", parse_tail("slowlog"), 100, res)
 
 
 class TestConfigValidation:
@@ -92,6 +92,10 @@ class TestConfigValidation:
     def test_n_list_increasing(self):
         with pytest.raises(ValueError):
             ExperimentConfig(phase="gumbel", tail="const:1", n_list=(100, 100))
+
+    def test_alpha_nonnegative(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(phase="shepp_pi", alpha_list=(-0.5,), n_list=(10,))
 
     def test_gumbel_needs_finite_mean(self):
         with pytest.raises(ValueError):
@@ -173,7 +177,7 @@ class TestVacancyFrequency:
     def test_matches_exact_formula(self):
         from arccover.torus import vacancy_probability_exact
 
-        f = TailFunction.constant(1)
+        f = parse_tail("const:1")
         n = 100
         t = 0.5 * n * math.log(n)
         freq, joint = vacancy_frequency(f, n, t, (0, 50), replicates=2000, base_seed=5)
@@ -298,6 +302,7 @@ class TestCLI:
         ("dimension", "--n", "0"),
         ("pi", "--n", "0", "--alpha", "0.5"),
         ("snapshot", "--tail", "const:1", "--n", "100", "--alpha", "0.5", "--replicates", "0"),
+        ("pi", "--n", "50", "--alpha", "0.5", "--replicates", "4", "--workers", "0"),
     ])
     def test_bad_input_exits_2(self, args):
         res = self.run_cli(*args)
@@ -310,6 +315,13 @@ class TestCLI:
         assert res.returncode == 0
         payload = json.loads((tmp_path / "d.json").read_text())
         assert payload["accepted"] >= 30
+
+    def test_dimension_gate_same_in_cover(self, tmp_path):
+        # 40 replicates at alpha = 0.95 leave fewer than 30 non-covered configurations
+        args = ("--n", "1000", "--alpha", "0.95", "--replicates", "40", "--out", str(tmp_path / "d"), "--assert")
+        assert self.run_cli("dimension", *args).returncode == 2
+        res = self.run_cli("cover", "--preset", "dimension", *args)
+        assert res.returncode == 3, res.stdout + res.stderr
 
     def test_calibrate(self, tmp_path):
         res = self.run_cli("calibrate", "--K", "2000", "--replicates", "400", "--seed", "2",

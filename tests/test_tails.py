@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from arccover.tails import (
     TailExhaustedError,
-    TailFunction,
     cf_estimate,
     karamata_ratio,
     parse_tail,
@@ -15,35 +14,29 @@ from arccover.tails import (
     tail_prefix_total,
 )
 
+from oracles import sample_radius_reference
+
 FAMILIES = [
-    TailFunction.constant(1),
-    TailFunction.constant(2),
-    TailFunction.geometric(0.5),
-    TailFunction.log_power(0.0),
-    TailFunction.log_power(1.0),
-    TailFunction.log_power(-0.5),
-    TailFunction.pure_power(-0.5),
-    TailFunction.slow_log(),
+    parse_tail("const:1"),
+    parse_tail("const:2"),
+    parse_tail("geom:0.5"),
+    parse_tail("logpow:0"),
+    parse_tail("logpow:1"),
+    parse_tail("logpow:-0.5"),
+    parse_tail("pow:-0.5"),
+    parse_tail("slowlog"),
 ]
-
-
-def sample_radius_capped(tail, u, cap):
-    # scalar oracle; quantiles beyond 2**258 are by definition above any cap here
-    try:
-        return min(tail.sample_radius(u), cap)
-    except OverflowError:
-        return cap
 
 
 class TestEval:
     def test_const_radius_two(self):
-        assert TailFunction.constant(2).value(2) == 1.0
+        assert parse_tail("const:2").value(2) == 1.0
 
     def test_pure_power_sixteen(self):
-        assert TailFunction.pure_power(-0.5).value(16) == pytest.approx(0.25, abs=1e-15)
+        assert parse_tail("pow:-0.5").value(16) == pytest.approx(0.25, abs=1e-15)
 
     def test_logpow_zero_is_one_over_r(self):
-        assert TailFunction.log_power(0.0).value(10) == pytest.approx(0.1, abs=1e-15)
+        assert parse_tail("logpow:0").value(10) == pytest.approx(0.1, abs=1e-15)
 
     def test_normalized_at_one(self):
         for tail in FAMILIES:
@@ -58,7 +51,7 @@ class TestEval:
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 3.0])
     def test_logpow_envelope_matches_running_min(self, b):
         # oracle: the recursive monotone envelope computed directly
-        tail = TailFunction.log_power(b)
+        tail = parse_tail(f"logpow:{b}")
         upto = 10**4
         raw = np.minimum(np.log(np.arange(2.0, upto + 1)) ** b / np.arange(2.0, upto + 1), 1.0)
         envelope = np.minimum.accumulate(np.concatenate([[1.0], raw]))
@@ -66,15 +59,15 @@ class TestEval:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            TailFunction.geometric(1.0)
+            parse_tail("geom:1.0")
         with pytest.raises(ValueError):
-            TailFunction.pure_power(-1.5)
+            parse_tail("pow:-1.5")
         with pytest.raises(ValueError):
-            TailFunction.log_power(-2.0)
+            parse_tail("logpow:-2")
         with pytest.raises(ValueError):
-            TailFunction.constant(0)
+            parse_tail("const:0")
         with pytest.raises(ValueError):
-            TailFunction.slow_log().value(0)
+            parse_tail("slowlog").value(0)
 
 
 class TestParse:
@@ -92,18 +85,18 @@ class TestParse:
 class TestSampling:
     def test_pure_power_quarter(self):
         # oracle by enumeration around the quantile
-        f = TailFunction.pure_power(-0.5)
+        f = parse_tail("pow:-0.5")
         assert f.value(15) >= 0.25 and f.value(16) >= 0.25 and f.value(17) < 0.25
-        assert f.sample_radius(0.25) == 16
+        assert f.sample_radii(np.array([0.25]), cap=2**40).tolist() == [16]
 
     def test_u_one_gives_one(self):
-        assert TailFunction.geometric(0.5).sample_radius(1.0) == 1
-        assert TailFunction.slow_log().sample_radius(1.0) == 1
+        assert parse_tail("geom:0.5").sample_radii(np.array([1.0]), cap=2**40).tolist() == [1]
+        assert parse_tail("slowlog").sample_radii(np.array([1.0]), cap=2**40).tolist() == [1]
 
     def test_const_one_always_one(self):
-        f = TailFunction.constant(1)
+        f = parse_tail("const:1")
         for u in (1e-9, 0.3, 1.0):
-            assert f.sample_radius(u) == 1
+            assert f.sample_radii(np.array([u]), cap=2**40).tolist() == [1]
 
     @pytest.mark.parametrize("tail", FAMILIES, ids=lambda t: t.spec_string)
     def test_vector_matches_scalar(self, tail):
@@ -111,15 +104,15 @@ class TestSampling:
         u = 1.0 - rng.random(400)
         cap = 2**40
         got = tail.sample_radii(u, cap=cap)
-        want = np.array([sample_radius_capped(tail, float(x), cap) for x in u])
+        want = np.array([sample_radius_reference(tail, float(x), cap) for x in u])
         assert np.array_equal(got, want)
 
     @given(st.floats(min_value=1e-6, max_value=1.0, exclude_min=False))
     @settings(max_examples=60, deadline=None)
     def test_inverse_transform_identity(self, u):
         # R >= r iff f(r) >= u, by construction
-        f = TailFunction.geometric(0.3)
-        r = f.sample_radius(u)
+        f = parse_tail("geom:0.3")
+        [r] = f.sample_radii(np.array([u]), cap=2**40).tolist()
         assert f.value(r) >= u
         assert f.value(r + 1) < u
 
@@ -141,15 +134,15 @@ class TestMoments:
     # F_k = sum_{r<=k} f(r) = E[min(R, k)], the truncated first moment of the radius
 
     def test_const_one_prefix(self):
-        assert tail_prefix_total(TailFunction.constant(1), 1) == 1.0
-        assert tail_prefix_total(TailFunction.constant(1), 77) == 1.0
+        assert tail_prefix_total(parse_tail("const:1"), 1) == 1.0
+        assert tail_prefix_total(parse_tail("const:1"), 77) == 1.0
 
     def test_const_two_prefix(self):
-        assert tail_prefix_total(TailFunction.constant(2), 5) == 2.0
+        assert tail_prefix_total(parse_tail("const:2"), 5) == 2.0
 
     def test_harmonic_prefix(self):
         # oracle: fsum of the harmonic series
-        got = tail_prefix_total(TailFunction.log_power(0.0), 4)
+        got = tail_prefix_total(parse_tail("logpow:0"), 4)
         assert got == pytest.approx(math.fsum(1.0 / k for k in (1, 2, 3, 4)), rel=1e-15)
 
     @pytest.mark.parametrize("tail", FAMILIES, ids=lambda t: t.spec_string)
@@ -162,18 +155,18 @@ class TestMoments:
 
     @pytest.mark.slow
     def test_prefix_million_relative_error(self):
-        tail = TailFunction.pure_power(-0.5)
+        tail = parse_tail("pow:-0.5")
         direct = math.fsum(tail.values(np.arange(1, 10**6 + 1)))
         assert abs(tail_prefix_total(tail, 10**6) - direct) / direct < 1e-9
 
 
 class TestDiagnostics:
     def test_karamata_const_exhausted_is_zero(self):
-        assert karamata_ratio(TailFunction.constant(1), 10) == 0.0
+        assert karamata_ratio(parse_tail("const:1"), 10) == 0.0
 
     @pytest.mark.slow
     def test_karamata_pure_power_error_shrinks(self):
-        f = TailFunction.pure_power(-0.5)
+        f = parse_tail("pow:-0.5")
         errs = [abs(karamata_ratio(f, x) - 0.5) for x in (10**3, 10**4, 10**5, 10**6)]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-2
@@ -182,7 +175,7 @@ class TestDiagnostics:
     def test_karamata_slowlog_trend(self):
         # frozen by direct summation: 0.8442 at 1e3, 0.9266 at 1e6; the analytic
         # limit 1 is approached like 1/ln x, far slower than 5e-2 at x=1e6
-        f = TailFunction.slow_log()
+        f = parse_tail("slowlog")
         v3 = karamata_ratio(f, 10**3)
         v6 = karamata_ratio(f, 10**6)
         assert v3 == pytest.approx(0.844198, abs=1e-4)
@@ -190,38 +183,38 @@ class TestDiagnostics:
         assert abs(v6 - 1.0) < abs(v3 - 1.0)
 
     def test_rv_probe_logpow(self):
-        assert rv_limit_probe(TailFunction.log_power(0.0), 2.0, 10**6) == pytest.approx(0.5, abs=1e-6)
+        assert rv_limit_probe(parse_tail("logpow:0"), 2.0, 10**6) == pytest.approx(0.5, abs=1e-6)
 
     def test_rv_probe_pure_power(self):
-        assert rv_limit_probe(TailFunction.pure_power(-0.5), 4.0, 10**4) == pytest.approx(0.5, abs=1e-3)
+        assert rv_limit_probe(parse_tail("pow:-0.5"), 4.0, 10**4) == pytest.approx(0.5, abs=1e-3)
 
     def test_rv_probe_slowlog_band(self):
-        v = rv_limit_probe(TailFunction.slow_log(), 10.0, 10**6)
+        v = rv_limit_probe(parse_tail("slowlog"), 10.0, 10**6)
         assert 0.85 <= v <= 1.0
 
     def test_rv_probe_exhausted(self):
         with pytest.raises(TailExhaustedError):
-            rv_limit_probe(TailFunction.constant(2), 2.0, 5)
+            rv_limit_probe(parse_tail("const:2"), 2.0, 5)
 
     @pytest.mark.slow
     def test_cf_estimates(self):
-        assert cf_estimate(TailFunction.pure_power(-0.5), 10**6) == pytest.approx(2.0, abs=2e-2)
+        assert cf_estimate(parse_tail("pow:-0.5"), 10**6) == pytest.approx(2.0, abs=2e-2)
         # harmonic boundary case diverges like ln n + gamma
-        assert cf_estimate(TailFunction.log_power(0.0), 10**4) == pytest.approx(9.7876, abs=1e-3)
+        assert cf_estimate(parse_tail("logpow:0"), 10**4) == pytest.approx(9.7876, abs=1e-3)
         # slowly varying: frozen direct values, trend toward the analytic limit 1
-        v3 = cf_estimate(TailFunction.slow_log(), 10**3)
-        v6 = cf_estimate(TailFunction.slow_log(), 10**6)
+        v3 = cf_estimate(parse_tail("slowlog"), 10**3)
+        v6 = cf_estimate(parse_tail("slowlog"), 10**6)
         assert v6 == pytest.approx(1.079269, abs=1e-4)
         assert abs(v6 - 1.0) < abs(v3 - 1.0)
 
     def test_cf_exhausted(self):
         with pytest.raises(TailExhaustedError):
-            cf_estimate(TailFunction.constant(1), 10)
+            cf_estimate(parse_tail("const:1"), 10)
 
     def test_prefix_total_closed_forms(self):
         # geometric prefix has an exact closed form to cross-check the summation
         q = 0.25
-        tail = TailFunction.geometric(q)
+        tail = parse_tail(f"geom:{q}")
         direct = math.fsum(tail.values(np.arange(1, 201)))
         assert tail_prefix_total(tail, 200) == pytest.approx(direct, rel=1e-14)
         assert tail_prefix_total(tail, 200) == pytest.approx((1 - q**200) / (1 - q), rel=1e-14)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arccover.tails import TailFunction, parse_tail
+from arccover.tails import parse_tail
 from arccover.torus import (
     CoverResult,
     covered_mask,
@@ -20,12 +20,12 @@ from oracles import ArcEvent, NaiveCoverState, TorusCoverState, run_to_cover_ref
 from overshoot import binomial_upper_quantile, overshoot_bound
 
 TAILS = [
-    TailFunction.constant(1),
-    TailFunction.constant(3),
-    TailFunction.geometric(0.5),
-    TailFunction.log_power(0.0),
-    TailFunction.pure_power(-0.5),
-    TailFunction.slow_log(),
+    parse_tail("const:1"),
+    parse_tail("const:3"),
+    parse_tail("geom:0.5"),
+    parse_tail("logpow:0"),
+    parse_tail("pow:-0.5"),
+    parse_tail("slowlog"),
 ]
 
 
@@ -150,27 +150,27 @@ class TestCoveredMask:
         with pytest.raises(ValueError, match="int32"):
             covered_mask(n, np.array([0]), np.array([1]))
         with pytest.raises(ValueError, match="int32"):
-            run_to_cover(TailFunction.constant(1), n, seed=1)
+            run_to_cover(parse_tail("const:1"), n, seed=1)
         with pytest.raises(ValueError, match="int32"):
-            site_vacancy(TailFunction.constant(1), n, 1.0, seed=1, sites=[0])
+            site_vacancy(parse_tail("const:1"), n, 1.0, seed=1, sites=[0])
 
 
 class TestRunToCover:
     def test_single_arc_covers(self):
-        res = run_to_cover(TailFunction.constant(3), 3, seed=11)
+        res = run_to_cover(parse_tail("const:3"), 3, seed=11)
         assert res.tau == 1
 
     def test_n_equal_one(self):
-        res = run_to_cover(TailFunction.geometric(0.5), 1, seed=3)
+        res = run_to_cover(parse_tail("geom:0.5"), 1, seed=3)
         assert res.tau == 1
 
     def test_deterministic(self):
-        a = run_to_cover(TailFunction.geometric(0.5), 500, seed=12345)
-        b = run_to_cover(TailFunction.geometric(0.5), 500, seed=12345)
+        a = run_to_cover(parse_tail("geom:0.5"), 500, seed=12345)
+        b = run_to_cover(parse_tail("geom:0.5"), 500, seed=12345)
         assert a == b
 
     def test_result_invariants(self):
-        res = run_to_cover(TailFunction.pure_power(-0.5), 1000, seed=8)
+        res = run_to_cover(parse_tail("pow:-0.5"), 1000, seed=8)
         assert res.tau >= math.ceil(res.n / res.max_radius)
         assert res.T > 0
         assert isinstance(res, CoverResult)
@@ -187,7 +187,7 @@ class TestRunToCover:
     def test_coupon_collector_mean(self):
         # oracle: E[tau] = n H_n for unit radii; n=3 gives 5.5 exactly
         n, m = 3, 20000
-        taus = np.array([run_to_cover(TailFunction.constant(1), n, seed=s).tau for s in range(m)])
+        taus = np.array([run_to_cover(parse_tail("const:1"), n, seed=s).tau for s in range(m)])
         want = n * math.fsum(1.0 / k for k in range(1, n + 1))
         assert want == 5.5
         se = taus.std(ddof=1) / math.sqrt(m)
@@ -198,7 +198,7 @@ class TestOvershootBound:
     def test_bstar_overshoot_within_exact_bound(self):
         # P(T/n > a) <= B_n(a) for the Poissonized cover time (derivation in
         # tests/overshoot.py); f(r) = 1/r is the B* family of gate 5a
-        tail = TailFunction.log_power(0.0)
+        tail = parse_tail("logpow:0")
         m = 2000
         grid = (1.0, 1.5, 2.0, 3.0)
         ns = (16, 64, 256)
@@ -222,7 +222,7 @@ class TestOvershootBound:
 
 class TestVacancyFormulas:
     def test_exact_single(self):
-        f = TailFunction.constant(1)
+        f = parse_tail("const:1")
         assert vacancy_probability_exact(f, 4, 4.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
         assert vacancy_probability_exact(f, 4, 0.0) == 1.0
         n = 100
@@ -230,7 +230,7 @@ class TestVacancyFormulas:
         assert vacancy_probability_exact(f, n, t) == pytest.approx(0.1, rel=1e-12)
 
     def test_exact_pair(self):
-        f = TailFunction.constant(1)
+        f = parse_tail("const:1")
         n = 100
         t = 0.5 * n * math.log(n)
         assert pair_vacancy_exact(f, n, t, 50) == pytest.approx(0.01, rel=1e-12)
@@ -239,27 +239,27 @@ class TestVacancyFormulas:
 
     def test_pair_range(self):
         with pytest.raises(IndexError):
-            pair_vacancy_exact(TailFunction.constant(1), 10, 1.0, 10)
+            pair_vacancy_exact(parse_tail("const:1"), 10, 1.0, 10)
         with pytest.raises(IndexError):
-            pair_vacancy_exact(TailFunction.constant(1), 10, 1.0, 0)
+            pair_vacancy_exact(parse_tail("const:1"), 10, 1.0, 0)
 
 
 class TestSnapshot:
     def test_time_zero(self):
-        count, idx = snapshot_vacant(TailFunction.constant(1), 50, 0.0, seed=1)
+        count, idx = snapshot_vacant(parse_tail("const:1"), 50, 0.0, seed=1)
         assert count == 50
         assert len(idx) == 50
 
     def test_huge_time_covers(self):
         n = 1000
-        count, idx = snapshot_vacant(TailFunction.constant(1), n, 10.0 * n * math.log(n), seed=7)
+        count, idx = snapshot_vacant(parse_tail("const:1"), n, 10.0 * n * math.log(n), seed=7)
         assert count == 0
         assert idx.size == 0
 
     @pytest.mark.slow
     def test_mean_vacant_matches_formula(self):
         # spec protocol: n=1e4, t = 0.5 n ln n, 200 seeds, mean within 3 sigma of sqrt(n)
-        f = TailFunction.constant(1)
+        f = parse_tail("const:1")
         n = 10**4
         t = 0.5 * n * math.log(n)
         counts = np.array([snapshot_vacant(f, n, t, seed=s)[0] for s in range(200)])
