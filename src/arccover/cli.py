@@ -95,6 +95,10 @@ def _reject_repeats(args: argparse.Namespace) -> None:
             raise ValueError(f"{args.command} reads one {key}, got {len(values)}: {values}")
 
 
+# phases that _gate_cover evaluates
+_GATED_PHASES = ("gumbel", "calibration", "exponential", "preexp", "dimension")
+
+
 def _gate_cover(summary: dict) -> list[str]:
     """Phase gates evaluated at the largest n (KS trend against the smallest)."""
     failures = []
@@ -145,6 +149,8 @@ def _failed_gates(summary: dict) -> bool:
 
 def _cmd_cover(args) -> int:
     config = _experiment_config(args, args.preset)
+    if args.assert_gates and config.phase not in _GATED_PHASES:
+        raise ValueError(f"--assert has no gate for the {config.phase} phase (gated: {', '.join(_GATED_PHASES)})")
     paths, summary = run_experiment(config, workers=args.workers)
     print(f"wrote {paths['csv']} {paths['summary']}")
     if args.assert_gates:

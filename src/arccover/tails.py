@@ -194,7 +194,9 @@ def tail_prefix_total(tail: TailFunction, n: int) -> float:
     if tail.family == "geom":
         q = tail.param
         return (1.0 - q**n) / (1.0 - q)
-    return math.fsum([math.fsum(tail.values(np.arange(start, min(start + _CHUNK, n + 1), dtype=np.int64)))
+    # a memoryview hands fsum Python floats one at a time, without boxing
+    # numpy scalars or building a list
+    return math.fsum([math.fsum(memoryview(tail.values(np.arange(start, min(start + _CHUNK, n + 1), dtype=np.int64))))
                       for start in range(1, n + 1, _CHUNK)])
 
 

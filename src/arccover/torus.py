@@ -3,10 +3,14 @@
 Every random quantity comes from one pinned arc stream per seed: uniform
 starts on Z/nZ and radii drawn from the tail by inverse transform, written out
 once in ``_first_cover`` (cover times) and once in ``_covered_at`` (the arcs
-present at a fixed Poisson time). Coverage has one kernel, the one-pass
-prefix-max sweep ``_CoverSweep`` with a wrap term, in O(n + arcs) vectorized
-work over n-sized buffers; every coverage or vacancy question is read off its
-mask. The arc-by-arc reference engines that tests compare the sweep against
+present at a fixed Poisson time). Coverage has two kernels. The one-pass
+prefix-max sweep ``_CoverSweep`` with a wrap term does O(n + arcs) vectorized
+work over n-sized buffers; every fixed-time coverage or vacancy question is
+read off its mask. The interval merge ``_SparseCover`` sorts the arcs it holds
+and does O(arcs) work with no n-sized buffer. ``run_to_cover`` picks the
+first-cover engine from the arcs it holds against n: it merges while they
+number at most n / ``SPARSE_SITES_PER_ARC`` and hands off to the sweep past
+that point. The arc-by-arc reference engines that tests compare both against
 live in ``tests/oracles.py``.
 """
 from __future__ import annotations
@@ -32,6 +36,10 @@ __all__ = [
 ARC_HARD_CAP = 10**10
 VACANT_INDEX_LIMIT = 10**6
 SWEEP_N_LIMIT = (2**31 - 1) // 3
+# run_to_cover merges while it holds at most n / 8 arcs and pieces. Measured at
+# n = 1e6 (pow:-0.5, one batch of B arcs), the merge takes 3% of the sweep's
+# time at B = n / 100, 30% at n / 8, 75% at n / 4 and 178% at n / 2
+SPARSE_SITES_PER_ARC = 8
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,12 @@ class CoverResult:
 # -- vectorized coverage sweep ---------------------------------------------
 
 
+def _check_sweep_size(n: int) -> None:
+    # reach[] holds p + L[p] <= 2n - 1 in int32; checked before allocating
+    if n > SWEEP_N_LIMIT:
+        raise ValueError(f"torus size {n} exceeds {SWEEP_N_LIMIT}, the int32 limit of the coverage sweep")
+
+
 class _CoverSweep:
     """Reusable n-sized buffers for the one-pass prefix-max coverage sweep.
 
@@ -58,9 +72,7 @@ class _CoverSweep:
     """
 
     def __init__(self, n: int):
-        # reach[] holds p + L[p] <= 2n - 1 in int32; checked before allocating
-        if n > SWEEP_N_LIMIT:
-            raise ValueError(f"torus size {n} exceeds {SWEEP_N_LIMIT}, the int32 limit of the coverage sweep")
+        _check_sweep_size(n)
         self.n = n
         self._L = np.zeros(n, dtype=np.int32)
         self._reach = np.empty(n, dtype=np.int32)
@@ -127,34 +139,107 @@ def _first_cover(tail: TailFunction, n: int, seed: int, batch_size: int | None, 
             raise RuntimeError(f"no cover after {arcs_before} arcs; configuration bug?")
 
 
+def _shortest_prefix(covers, B: int) -> int:
+    """Smallest k in [1, B] with covers(k), for covers monotone in k and covers(B) true."""
+    lo, hi = 1, B
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class _SparseCover:
+    """Interval-merge first-cover search in O(arcs held) work, with no n-sized buffer.
+
+    The sites covered by earlier batches are held as sorted, merged,
+    non-wrapping pieces [start, end) of int64. Taken in order of start, a set
+    of arcs covers the torus iff its largest end reaches n and each arc starts
+    at or before the larger of the earlier arcs' largest end and the wrap term
+    (largest end - n); otherwise the site at that reach is vacant.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.starts = self.ends = np.empty(0, dtype=np.int64)
+
+    def place(self, u: np.ndarray, r: np.ndarray):
+        """``_first_cover``'s place: the batch joins the pieces unless some prefix covers."""
+        n = self.n
+        B = len(u)
+        starts = np.concatenate((u, self.starts))
+        order = np.argsort(starts)
+        starts = starts[order]
+        ends = np.concatenate((u + r, self.ends))[order]
+        # pieces carry index -1, so every prefix keeps them
+        index = np.concatenate((np.arange(B), np.full(len(self.starts), -1)))[order]
+
+        def covers(k):
+            kept = index < k
+            reach = np.maximum.accumulate(np.where(kept, ends, 0))
+            wrap = int(reach[-1]) - n
+            if wrap < 0:
+                return False
+            # shift to the reach before each arc; dropped arcs count as starting at 0
+            reach[1:] = reach[:-1]
+            reach[0] = 0
+            return not (np.where(kept, starts, 0) > np.maximum(reach, wrap)).any()
+
+        if covers(B):
+            return _shortest_prefix(covers, B)
+        wrap = int(ends.max()) - n
+        if wrap > 0:
+            starts = np.concatenate(([0], starts))
+            ends = np.concatenate(([wrap], ends))
+        reach = np.maximum.accumulate(np.minimum(ends, n))
+        breaks = np.flatnonzero(starts[1:] > reach[:-1])
+        self.starts = starts[np.concatenate(([0], breaks + 1))]
+        self.ends = reach[np.append(breaks, len(reach) - 1)]
+        return None
+
+
 def run_to_cover(tail: TailFunction, n: int, seed: int, batch_size: int | None = None) -> CoverResult:
     """Place i.i.d. arcs (uniform start, inverse-transform radius) until covered.
 
     Deterministic given the seed. Arcs are drawn from the pinned PCG64 stream in
     batches of B(tail, n); radii are clamped to n at placement. T is the sum of
-    one standard exponential per placed arc.
+    one standard exponential per placed arc. Batches go to the interval merge
+    while the pieces held plus B stay at most n / SPARSE_SITES_PER_ARC, then to
+    the sweep, which starts from the pieces; both give the same first cover.
     """
-    sweep = _CoverSweep(n)
-    before = np.zeros(n, dtype=bool)
+    _check_sweep_size(n)  # before any draw: the merge may hand off to the sweep
+    B = batch_size or _default_batch(tail, n)
+    sparse = _SparseCover(n)
+    sweep = before = None
+
+    def start_sweep():
+        # the sweep starts from the pieces merged so far
+        nonlocal sweep, before
+        sweep = _CoverSweep(n)
+        before = sweep.covered(sparse.starts, sparse.ends - sparse.starts)
+
+    if B * SPARSE_SITES_PER_ARC > n:
+        # allocated before the first draw, the sweep's buffers do not pin
+        # the heap above the batch arrays
+        start_sweep()
 
     def place(u, r):
-        # join the batch's mask to the earlier batches' coverage; on cover,
-        # bisect for the shortest prefix of the batch that covers the rest
+        # merge while few arcs are held; past that, join the batch's mask to
+        # the earlier coverage and, on cover, bisect for the shortest prefix
         nonlocal before
+        if sweep is None:
+            if (len(sparse.starts) + B) * SPARSE_SITES_PER_ARC <= n:
+                return sparse.place(u, r)
+            start_sweep()
         cov = sweep.covered(u, r) | before
         if not cov.all():
             before = cov
             return None
-        lo, hi = 1, len(u)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bool((sweep.covered(u[:mid], r[:mid]) | before).all()):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return _shortest_prefix(lambda k: bool((sweep.covered(u[:k], r[:k]) | before).all()), len(u))
 
-    return _first_cover(tail, n, seed, batch_size, place)
+    return _first_cover(tail, n, seed, B, place)
 
 
 # -- timed snapshots ---------------------------------------------------------

@@ -212,6 +212,16 @@ class TestCLI:
                            "--assert")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("phase, tail", [("bstar", "logpow:0"), ("compact", "logpow:1")])
+    def test_assert_without_gate_exits_2(self, tmp_path, phase, tail):
+        # a phase with no gate must not report "gates passed"; it is refused before any replicate runs
+        out = tmp_path / phase
+        res = self.run_cli("cover", "--phase", phase, "--tail", tail, "--n", "200", "--replicates", "5",
+                           "--out", str(out), "--assert")
+        assert res.returncode == 2
+        assert phase in res.stderr and "gates passed" not in res.stdout
+        assert not out.with_suffix(".csv").exists()
+
     def test_shepp_series_expect(self):
         res = self.run_cli("shepp-series", "--sequence", "zero", "--N", "10000",
                            "--expect", "converging")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arccover import torus
 from arccover.tails import parse_tail
 from arccover.torus import (
     CoverResult,
@@ -182,6 +183,66 @@ class TestRunToCover:
             successor = run_to_cover_reference(tail, n, seed=4242, engine="successor")
             naive = run_to_cover_reference(tail, n, seed=4242, engine="naive")
             assert fast == successor == naive
+
+    @given(
+        spec=st.sampled_from(("const:1", "const:3", "geom:0.5", "logpow:0", "logpow:1", "pow:-0.5", "slowlog")),
+        n=st.integers(min_value=1, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        batch_size=st.sampled_from((1, 2, 64, None)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_engine_matches_sweep(self, spec, n, seed, batch_size):
+        # batches of at most n / 8 arcs start in the interval merge, carry
+        # pieces across batches and hand off to the sweep once more are held
+        tail = parse_tail(spec)
+        got = run_to_cover(tail, n, seed, batch_size=batch_size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus, "SPARSE_SITES_PER_ARC", math.inf)
+            sweep_only = run_to_cover(tail, n, seed, batch_size=batch_size)
+        assert got == sweep_only == run_to_cover_reference(tail, n, seed, batch_size=batch_size)
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        batches=st.lists(st.lists(st.tuples(st.integers(0, 39), st.integers(1, 40)), min_size=1, max_size=12),
+                         min_size=1, max_size=6),
+    )
+    @example(n=2, batches=[[(1, 1)]])  # ends at n exactly, nothing wraps: site 0 stays vacant
+    @example(n=3, batches=[[(2, 2)], [(1, 1)]])  # a carried wrap piece [0, 1)
+    @settings(max_examples=400, deadline=None)
+    def test_interval_merge_matches_naive(self, n, batches):
+        # first covering arc and carried pieces of the merge against arc-by-arc placement
+        sparse = torus._SparseCover(n)
+        naive = NaiveCoverState(n)
+        for batch in batches:
+            u = np.array([a % n for a, _ in batch], dtype=np.int64)
+            r = np.array([(b - 1) % n + 1 for _, b in batch], dtype=np.int64)
+            want = None
+            for k in range(len(u)):
+                naive.place_arc(int(u[k]), int(r[k]))
+                if naive.is_covered:
+                    want = k + 1
+                    break
+            assert sparse.place(u, r) == want
+            if want is not None:
+                return
+            starts, ends = sparse.starts, sparse.ends
+            assert np.all(starts < ends) and np.all(starts[1:] > ends[:-1]) and (ends <= n).all()
+            assert covered_mask(n, starts, ends - starts).tolist() == naive.covered.tolist()
+
+    @pytest.mark.parametrize("spec", ["slowlog", "pow:-0.5"])
+    def test_sparse_workload_never_sweeps(self, spec, monkeypatch):
+        # the pre-exponential and exponential workloads cover with far fewer
+        # arcs than sites: no n-sized sweep buffer is ever built
+        tail, n = parse_tail(spec), 10**6
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus, "SPARSE_SITES_PER_ARC", math.inf)
+            want = [run_to_cover(tail, n, seed) for seed in range(6)]
+
+        def refuse(n):
+            raise AssertionError(f"_CoverSweep({n}) built on a sparse workload")
+
+        monkeypatch.setattr(torus, "_CoverSweep", refuse)
+        assert [run_to_cover(tail, n, seed) for seed in range(6)] == want
 
     @pytest.mark.slow
     def test_coupon_collector_mean(self):
