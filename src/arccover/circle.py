@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import generator
-from .torus import covered_mask
+from .torus import _merge_open, covered_mask
 
 __all__ = [
     "CircleConfiguration",
@@ -94,18 +94,13 @@ def _vacant_bounds(config: CircleConfiguration) -> tuple[np.ndarray, np.ndarray]
     if np.any(config.ys > 1.0):
         return np.empty(0), np.empty(0)
     # merge the open arcs in doubled coordinates, where a circle point q is
-    # covered iff q+1 lies strictly inside a merged interval; merging is
-    # strict, so abutting arcs stay separate and their junction stays uncovered
+    # covered iff q+1 lies strictly inside a merged interval; _merge_open
+    # keeps abutting arcs apart, so their junction stays uncovered
     xs, ys = config.xs, config.ys
     s = np.concatenate([xs, xs + 1.0])
     e = np.concatenate([xs + ys, xs + ys + 1.0])
     order = np.argsort(s, kind="stable")
-    s = s[order]
-    e = np.maximum.accumulate(e[order])
-    new_group = np.ones(s.size, dtype=bool)
-    new_group[1:] = s[1:] >= e[:-1]
-    gs = s[new_group]
-    ge = np.concatenate([e[np.flatnonzero(new_group)[1:] - 1], e[-1:]])
+    gs, ge = _merge_open(s[order], e[order])
     # closed gaps of the merged cover, clipped to the window [1, 2) that holds
     # one representative q+1 of every circle point q
     bounds_lo = np.concatenate([[-math.inf], ge])

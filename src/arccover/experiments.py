@@ -37,6 +37,7 @@ __all__ = [
 
 PHASES = ("gumbel", "compact", "bstar", "preexp", "exponential", "shepp_pi", "dimension", "calibration")
 COVER_PHASES = ("gumbel", "compact", "bstar", "preexp", "exponential")
+F_SCALED_PHASES = ("compact", "preexp", "exponential")  # scaled sample f(n) T
 
 CSV_HEADER = "phase,family,n,replicate,seed,tau,T,scaled"
 
@@ -68,6 +69,11 @@ class ExperimentConfig:
             tail = parse_tail(self.tail)
             if self.phase == "gumbel" and tail.mean() is None:
                 raise ValueError("gumbel phase requires a finite-mean family")
+            if self.phase == "preexp" and tail.family != "pow":
+                raise ValueError(f"preexp phase requires a pow:p tail, got {self.tail!r}")
+            # f is non-increasing, so f(n) > 0 at every n iff at the largest
+            if self.phase in F_SCALED_PHASES and tail.value(self.n_list[-1]) == 0.0:
+                raise ValueError(f"{self.phase} phase scales T by f(n), but f({self.n_list[-1]}) = 0 for {self.tail}")
         if any(not a >= 0.0 for a in self.alpha_list):
             raise ValueError("every alpha must be >= 0")
         if self.phase in ("shepp_pi", "dimension") and not self.alpha_list:
@@ -95,7 +101,7 @@ def scale_sample(phase: str, tail: TailFunction, n: int, result: CoverResult) ->
         if mu is None:
             raise ValueError("gumbel scaling needs a finite-mean family")
         return (mu / n) * result.T - math.log(n)
-    if phase in ("compact", "preexp", "exponential"):
+    if phase in F_SCALED_PHASES:
         return tail.value(n) * result.T
     if phase == "bstar":
         return result.T / n

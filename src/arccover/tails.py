@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "TailFunction",
-    "TailExhaustedError",
     "parse_tail",
     "tail_prefix_total",
     "karamata_ratio",
@@ -25,10 +24,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("const", "geom", "logpow", "pow", "slowlog")
-
-
-class TailExhaustedError(ZeroDivisionError):
-    """Raised when a diagnostic needs f(x) > 0 but the tail is already zero."""
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,7 @@ def rv_limit_probe(tail: TailFunction, t: float, x: int) -> float:
         raise ValueError("require x >= 1 and x*t >= 1")
     fx = tail.value(x)
     if fx == 0.0:
-        raise TailExhaustedError(f"tail exhausted: f({x}) = 0")
+        raise ValueError(f"tail exhausted: f({x}) = 0")
     return tail.value(int(x * t)) / fx
 
 
@@ -226,7 +221,7 @@ def cf_estimate(tail: TailFunction, n: int) -> float:
         raise ValueError("n must be >= 2")
     fn = tail.value(n)
     if fn == 0.0:
-        raise TailExhaustedError(f"tail exhausted: f({n}) = 0")
+        raise ValueError(f"tail exhausted: f({n}) = 0")
     return tail_prefix_total(tail, n) / (n * fn)
 
 

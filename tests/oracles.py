@@ -19,11 +19,18 @@ vectorized ``TailFunction.sample_radii`` against it.
 
 ``derive_seeds`` is ``derive_seed`` vectorized over replicates, fast enough for
 the seed collision scan.
+
+``batches_of(B)`` makes ``run_to_cover`` and ``run_to_cover_reference`` draw
+batches of B arcs by patching ``torus._default_batch``, so tests reach batch
+boundaries that the default batch size never hits.
 """
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
+from arccover import torus
 from arccover.seeding import _K0, _K1, _K2, _M1, _M2, _MASK
 from arccover.tails import TailFunction
 from arccover.torus import CoverResult, _first_cover
@@ -144,8 +151,16 @@ class ArcEvent:
         return sorted({(self.u + j) % n for j in range(min(self.r, n))})
 
 
-def run_to_cover_reference(tail: TailFunction, n: int, seed: int, batch_size: int | None = None,
-                           engine: str = "successor") -> CoverResult:
+@contextlib.contextmanager
+def batches_of(B: int | None):
+    """Within the block, cover-time draws come in batches of B arcs; None keeps the default size."""
+    with pytest.MonkeyPatch.context() as mp:
+        if B is not None:
+            mp.setattr(torus, "_default_batch", lambda tail, n: B)
+        yield
+
+
+def run_to_cover_reference(tail: TailFunction, n: int, seed: int, engine: str = "successor") -> CoverResult:
     """Arc-by-arc reference consuming the identical stream as run_to_cover."""
     state = TorusCoverState(n) if engine == "successor" else NaiveCoverState(n)
 
@@ -156,7 +171,7 @@ def run_to_cover_reference(tail: TailFunction, n: int, seed: int, batch_size: in
                 return k + 1
         return None
 
-    return _first_cover(tail, n, seed, batch_size, place)
+    return _first_cover(tail, n, seed, torus._default_batch(tail, n), place)
 
 
 def lattice_vacant_reference(xs, ys, n: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from arccover.stats import OffspringLaw, extinction_frequency, kesten_stigum_che
 from arccover.tails import cf_estimate, karamata_ratio, parse_tail, tail_prefix_total
 from arccover.torus import pair_vacancy_exact, run_to_cover, snapshot_vacant, vacancy_probability_exact
 
-from oracles import NaiveCoverState, TorusCoverState
+from oracles import NaiveCoverState, TorusCoverState, batches_of
 from overshoot import binomial_upper_quantile, overshoot_bound
 
 pytestmark = pytest.mark.acceptance
@@ -61,7 +61,8 @@ def test_01_oracle_equivalence():
             n = int(rng.integers(1, 513))
             seed = derive_seed(SEED, n, checked)
             batch = 512
-            fast = run_to_cover(tail, n, seed, batch_size=batch)
+            with batches_of(batch):
+                fast = run_to_cover(tail, n, seed)
             succ_state = TorusCoverState(n)
             naive_state = NaiveCoverState(n)
             arc_rng = generator(seed)

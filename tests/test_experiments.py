@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from arccover import cli
 from arccover.experiments import (
     DEFAULT_BASE_SEED,
     ExperimentConfig,
+    PRESETS,
     derive_seed,
     preset_config,
     run_experiment,
@@ -101,8 +103,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(phase="gumbel", tail="pow:-0.5", n_list=(10,))
 
+    @pytest.mark.parametrize("phase, tail, n, message", [
+        ("compact", "const:1", 100, r"f\(100\) = 0"),
+        ("compact", "geom:0.5", 2000, r"f\(2000\) = 0"),
+        ("exponential", "const:3", 10, r"f\(10\) = 0"),
+        ("preexp", "logpow:-0.5", 1000, "pow:p"),
+        ("preexp", "slowlog", 1000, "pow:p"),
+        ("preexp", "const:1", 1000, "pow:p"),
+    ])
+    def test_phase_needs_its_tail(self, phase, tail, n, message):
+        # the f(n)-scaled phases need f(n) > 0, and preexp's bounds are stated for pow:p
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(phase=phase, tail=tail, n_list=(n,))
+
     def test_presets_valid(self):
-        for name in ("gumbel_const", "bstar", "shepp_pi", "calibration"):
+        for name in PRESETS:
             cfg = preset_config(name, output_path="/tmp/x")
             assert cfg.base_seed == DEFAULT_BASE_SEED
 
@@ -313,11 +328,26 @@ class TestCLI:
         ("pi", "--n", "0", "--alpha", "0.5"),
         ("snapshot", "--tail", "const:1", "--n", "100", "--alpha", "0.5", "--replicates", "0"),
         ("pi", "--n", "50", "--alpha", "0.5", "--replicates", "4", "--workers", "0"),
+        ("cover", "--phase", "compact", "--tail", "const:1", "--n", "100"),
+        ("cover", "--phase", "compact", "--tail", "geom:0.5", "--n", "2000"),
+        ("cover", "--phase", "preexp", "--tail", "logpow:-0.5", "--n", "1000"),
+        ("cover", "--phase", "preexp", "--tail", "slowlog", "--n", "1000"),
+        ("karamata", "--tail", "const:1"),
+        ("karamata", "--tail", "geom:0.5", "--x", "2000"),
     ])
     def test_bad_input_exits_2(self, args):
         res = self.run_cli(*args)
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("phase, tail, n", [("compact", "const:1", "100"), ("preexp", "logpow:-0.5", "1000")])
+    def test_phase_tail_mismatch_runs_nothing(self, tmp_path, monkeypatch, phase, tail, n):
+        # refused before any replicate runs: no cover time is drawn and no file is written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("arccover.experiments.run_to_cover", None)
+        argv = ["cover", "--phase", phase, "--tail", tail, "--n", n, "--replicates", "3", "--out", "run/x"]
+        assert cli.main(argv) == 2
+        assert not any(tmp_path.iterdir())
 
     def test_dimension_command(self, tmp_path):
         res = self.run_cli("dimension", "--alpha", "0.5", "--n", "500", "--replicates", "150",

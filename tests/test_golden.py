@@ -13,7 +13,9 @@ The fixed-time torus outputs are pinned the same way: ``snapshot_vacant``
 
 ``run_to_cover`` is pinned over (tail, n, seed, batch size) with batch sizes 1
 and 64 next to the default, so the multi-batch path and the final-batch
-bisection are pinned at batch boundaries the preset digests never reach.
+bisection are pinned at batch boundaries the preset digests never reach. The
+small batches come from a patched ``torus._default_batch`` (``oracles.batches_of``);
+each line hashed still names the batch size, None for the default.
 """
 import dataclasses
 import hashlib
@@ -24,6 +26,8 @@ import pytest
 from arccover.experiments import PRESETS, preset_config, run_experiment
 from arccover.tails import parse_tail
 from arccover.torus import run_to_cover, site_vacancy, snapshot_vacant
+
+from oracles import batches_of
 
 REPLICATES = 2
 
@@ -87,6 +91,7 @@ def test_run_to_cover_digest():
         for n in (1, 7, 100, 1000):
             for seed in range(6):
                 for batch_size in (None, 1, 64):
-                    r = run_to_cover(tail, n, seed, batch_size=batch_size)
+                    with batches_of(batch_size):
+                        r = run_to_cover(tail, n, seed)
                     h.update(f"{spec} {n} {seed} {batch_size} {r.tau} {r.T!r} {r.max_radius}\n".encode())
     assert h.hexdigest() == RUN_TO_COVER_GOLDEN

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arccover.tails import (
-    TailExhaustedError,
     cf_estimate,
     karamata_ratio,
     parse_tail,
@@ -193,7 +192,7 @@ class TestDiagnostics:
         assert 0.85 <= v <= 1.0
 
     def test_rv_probe_exhausted(self):
-        with pytest.raises(TailExhaustedError):
+        with pytest.raises(ValueError, match="tail exhausted"):
             rv_limit_probe(parse_tail("const:2"), 2.0, 5)
 
     @pytest.mark.slow
@@ -208,7 +207,7 @@ class TestDiagnostics:
         assert abs(v6 - 1.0) < abs(v3 - 1.0)
 
     def test_cf_exhausted(self):
-        with pytest.raises(TailExhaustedError):
+        with pytest.raises(ValueError, match="tail exhausted"):
             cf_estimate(parse_tail("const:1"), 10)
 
     def test_prefix_total_closed_forms(self):

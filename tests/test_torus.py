@@ -17,7 +17,7 @@ from arccover.torus import (
     vacancy_probability_exact,
 )
 
-from oracles import ArcEvent, NaiveCoverState, TorusCoverState, run_to_cover_reference
+from oracles import ArcEvent, NaiveCoverState, TorusCoverState, batches_of, run_to_cover_reference
 from overshoot import binomial_upper_quantile, overshoot_bound
 
 TAILS = [
@@ -156,6 +156,37 @@ class TestCoveredMask:
             site_vacancy(parse_tail("const:1"), n, 1.0, seed=1, sites=[0])
 
 
+class TestMergeOpen:
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4)), max_size=10))
+    @example([(0, 1), (1, 1)])  # touching: the shared end 1 stays out of the union
+    @settings(max_examples=300, deadline=None)
+    def test_open_intervals_touching_stay_apart(self, spans):
+        # real open intervals (a, a + w) on a half-integer grid, so ends coincide
+        # often; the union is known once every point of the grid is checked
+        spans.sort()
+        lo = np.array([a for a, _ in spans], dtype=np.float64)
+        hi = np.array([a + w for a, w in spans], dtype=np.float64)
+        gs, ge = torus._merge_open(lo, hi)
+        assert np.all(gs < ge) and np.all(gs[1:] >= ge[:-1])
+        for p in np.arange(-1.0, 14.0, 0.5):
+            assert ((lo < p) & (p < hi)).any() == ((gs < p) & (p < ge)).any(), p
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 4)), max_size=10))
+    @example([(0, 2), (2, 2)])  # touching pieces [0, 2) and [2, 4) join
+    @example([(0, 2), (3, 2)])  # a one-site gap at 2 keeps [0, 2) and [3, 5) apart
+    @settings(max_examples=300, deadline=None)
+    def test_integer_pieces_touching_join(self, spans):
+        # sites s <= v < e passed as the open (s - 1, e), as the interval merge does
+        spans.sort()
+        s = np.array([a for a, _ in spans], dtype=np.int64)
+        e = np.array([a + w for a, w in spans], dtype=np.int64)
+        gs, ge = torus._merge_open(s - 1, e)
+        gs = gs + 1
+        assert np.all(gs < ge) and np.all(gs[1:] > ge[:-1])
+        for v in range(-1, 18):
+            assert ((s <= v) & (v < e)).any() == ((gs <= v) & (v < ge)).any(), v
+
+
 class TestRunToCover:
     def test_single_arc_covers(self):
         res = run_to_cover(parse_tail("const:3"), 3, seed=11)
@@ -195,11 +226,12 @@ class TestRunToCover:
         # batches of at most n / 8 arcs start in the interval merge, carry
         # pieces across batches and hand off to the sweep once more are held
         tail = parse_tail(spec)
-        got = run_to_cover(tail, n, seed, batch_size=batch_size)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(torus, "SPARSE_SITES_PER_ARC", math.inf)
-            sweep_only = run_to_cover(tail, n, seed, batch_size=batch_size)
-        assert got == sweep_only == run_to_cover_reference(tail, n, seed, batch_size=batch_size)
+        with batches_of(batch_size):
+            got = run_to_cover(tail, n, seed)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(torus, "SPARSE_SITES_PER_ARC", math.inf)
+                sweep_only = run_to_cover(tail, n, seed)
+            assert got == sweep_only == run_to_cover_reference(tail, n, seed)
 
     @given(
         n=st.integers(min_value=1, max_value=40),
