@@ -44,6 +44,8 @@ class TailFunction:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown tail family {self.family!r}")
         p = self.param
+        if not math.isfinite(p):
+            raise ValueError(f"tail parameter {p} must be finite")
         if self.family == "const" and (p < 1 or p != int(p)):
             raise ValueError("const radius must be a positive integer")
         if self.family == "geom" and not 0.0 < p < 1.0:

@@ -7,8 +7,9 @@ only by ``_draw_arcs``. Coverage has two kernels. The one-pass prefix-max sweep
 buffers; every fixed-time coverage or vacancy question is read off its mask.
 The interval merge ``_SparseCover`` sorts the arcs it holds and does O(arcs)
 work with no n-sized buffer; its union is ``_merge_open``, which the circle
-model shares. ``run_to_cover`` merges while it holds at most
-n / ``SPARSE_SITES_PER_ARC`` arcs and hands off to the sweep past that point.
+model shares. ``run_to_cover`` picks one of the two per run, before the first
+draw: the merge when a batch holds at most n / ``SPARSE_SITES_PER_ARC`` arcs,
+else the sweep.
 The arc-by-arc reference engines that tests compare both against live in
 ``tests/oracles.py``.
 """
@@ -35,7 +36,7 @@ __all__ = [
 ARC_HARD_CAP = 10**10
 VACANT_INDEX_LIMIT = 10**6
 SWEEP_N_LIMIT = (2**31 - 1) // 3
-# run_to_cover merges while it holds at most n / 8 arcs and pieces. Measured at
+# run_to_cover merges when a batch holds at most n / 8 arcs. Measured at
 # n = 1e6 (pow:-0.5, one batch of B arcs), the merge takes 3% of the sweep's
 # time at B = n / 100, 30% at n / 8, 75% at n / 4 and 178% at n / 2
 SPARSE_SITES_PER_ARC = 8
@@ -57,6 +58,8 @@ class CoverResult:
 
 def _check_sweep_size(n: int) -> None:
     # reach[] holds p + L[p] <= 2n - 1 in int32; checked before allocating
+    if n < 1:
+        raise ValueError(f"torus size {n} must be >= 1")
     if n > SWEEP_N_LIMIT:
         raise ValueError(f"torus size {n} exceeds {SWEEP_N_LIMIT}, the int32 limit of the coverage sweep")
 
@@ -213,34 +216,23 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
 
     Deterministic given the seed. Arcs are drawn from the pinned PCG64 stream in
     batches of B(tail, n); radii are clamped to n at placement. T is the sum of
-    one standard exponential per placed arc. Batches go to the interval merge
-    while the pieces held plus B stay at most n / SPARSE_SITES_PER_ARC, then to
-    the sweep, which starts from the pieces; both give the same first cover.
+    one standard exponential per placed arc. The engine is picked once, before
+    the first draw: the interval merge when B <= n / SPARSE_SITES_PER_ARC, else
+    the sweep; both give the same first cover.
     """
-    _check_sweep_size(n)  # before any draw: the merge may hand off to the sweep
+    _check_sweep_size(n)  # for both engines, until the merge is checked above the sweep's limit
     B = _default_batch(tail, n)
-    sparse = _SparseCover(n)
-    sweep = before = None
-
-    def start_sweep():
-        # the sweep starts from the pieces merged so far
-        nonlocal sweep, before
-        sweep = _CoverSweep(n)
-        before = sweep.covered(sparse.starts, sparse.ends - sparse.starts)
-
-    if B * SPARSE_SITES_PER_ARC > n:
-        # allocated before the first draw, the sweep's buffers do not pin
-        # the heap above the batch arrays
-        start_sweep()
+    if B * SPARSE_SITES_PER_ARC <= n:
+        return _first_cover(tail, n, seed, B, _SparseCover(n).place)
+    # allocated before the first draw, the sweep's buffers do not pin the heap
+    # above the batch arrays
+    sweep = _CoverSweep(n)
+    before = np.zeros(n, dtype=bool)
 
     def place(u, r):
-        # merge while few arcs are held; past that, join the batch's mask to
-        # the earlier coverage and, on cover, bisect for the shortest prefix
+        # join the batch's mask to the earlier coverage and, on cover, bisect
+        # for the shortest prefix
         nonlocal before
-        if sweep is None:
-            if (len(sparse.starts) + B) * SPARSE_SITES_PER_ARC <= n:
-                return sparse.place(u, r)
-            start_sweep()
         cov = sweep.covered(u, r) | before
         if not cov.all():
             before = cov

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arccover.tails import (
+    TailFunction,
     cf_estimate,
     karamata_ratio,
     parse_tail,
@@ -67,6 +68,16 @@ class TestEval:
             parse_tail("const:0")
         with pytest.raises(ValueError):
             parse_tail("slowlog").value(0)
+
+    @pytest.mark.parametrize("family, param", [
+        ("logpow", math.nan), ("logpow", math.inf), ("const", math.inf),
+        ("geom", math.nan), ("pow", -math.inf), ("slowlog", math.nan),
+    ])
+    def test_rejects_non_finite_parameter(self, family, param):
+        # logpow:nan gave f(2) = nan, so every radius clamped to n, and
+        # logpow:inf acted as const:1
+        with pytest.raises(ValueError, match="finite"):
+            TailFunction(family, param)
 
 
 class TestParse:

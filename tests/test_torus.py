@@ -155,6 +155,16 @@ class TestCoveredMask:
         with pytest.raises(ValueError, match="int32"):
             site_vacancy(parse_tail("const:1"), n, 1.0, seed=1, sites=[0])
 
+    @pytest.mark.parametrize("call", [
+        lambda n: covered_mask(n, np.array([0]), np.array([1])),
+        lambda n: run_to_cover(parse_tail("const:1"), n, seed=1),
+        lambda n: snapshot_vacant(parse_tail("const:1"), n, 1.0, seed=1),
+    ], ids=["covered_mask", "run_to_cover", "snapshot_vacant"])
+    def test_rejects_empty_torus(self, call):
+        # refused by the size check, before a divide by n or an empty draw range
+        with pytest.raises(ValueError, match="torus size 0"):
+            call(0)
+
 
 class TestMergeOpen:
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4)), max_size=10))
@@ -223,15 +233,16 @@ class TestRunToCover:
     )
     @settings(max_examples=60, deadline=None)
     def test_sparse_engine_matches_sweep(self, spec, n, seed, batch_size):
-        # batches of at most n / 8 arcs start in the interval merge, carry
-        # pieces across batches and hand off to the sweep once more are held
+        # run_to_cover picks one engine per run, so patching SPARSE_SITES_PER_ARC
+        # runs each on the whole stream. With small batches the merge carries
+        # its pieces across many batches: the only test that runs it to cover so
         tail = parse_tail(spec)
-        with batches_of(batch_size):
-            got = run_to_cover(tail, n, seed)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(torus, "SPARSE_SITES_PER_ARC", math.inf)
-                sweep_only = run_to_cover(tail, n, seed)
-            assert got == sweep_only == run_to_cover_reference(tail, n, seed)
+        with batches_of(batch_size), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus, "SPARSE_SITES_PER_ARC", 0)
+            merge_only = run_to_cover(tail, n, seed)
+            mp.setattr(torus, "SPARSE_SITES_PER_ARC", math.inf)
+            sweep_only = run_to_cover(tail, n, seed)
+            assert merge_only == sweep_only == run_to_cover_reference(tail, n, seed)
 
     @given(
         n=st.integers(min_value=1, max_value=40),
