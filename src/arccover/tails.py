@@ -114,7 +114,16 @@ class TailFunction:
 
     # -- sampling ----------------------------------------------------------
     def sample_radii(self, u: np.ndarray, cap: int) -> np.ndarray:
-        """Vectorized inverse transform clamped at cap: min(R, cap), exact below cap."""
+        """Vectorized inverse transform clamped at cap: min(R, cap) for R = max{r >= 1 : f(r) >= u}.
+
+        For cap <= 2**17 the radius is a binary search of u in the table
+        f(1..cap), built once per (tail, cap) from ``values`` and cached:
+        exact, and for geom and logpow 1.3x to 4x cheaper than the guess.
+        The cap bounds a table at 1 MB; above it, a closed-form guess is
+        corrected step by step against ``values``, which at cap 1e6 was
+        about 2x faster than the search for pow:-0.5 and slowlog. The path is
+        chosen from cap alone; f is never evaluated to choose it.
+        """
         u = np.asarray(u, dtype=np.float64)
         if u.size == 0:
             return np.empty(0, dtype=np.int64)
@@ -125,6 +134,10 @@ class TailFunction:
         fam = self.family
         if fam == "const":
             return np.full(u.shape, min(int(self.param), cap), dtype=np.int64)
+        if cap <= _TABLE_CAP:
+            # table[i] = -f(i + 1) ascends, so the count of entries <= -u is
+            # the count of r <= cap with f(r) >= u, which is min(R, cap)
+            return np.searchsorted(_neg_tail_table(self, cap), -u, side="right")
         capf = float(cap)
         with np.errstate(divide="ignore", over="ignore"):
             if fam == "geom":
@@ -174,6 +187,21 @@ def parse_tail(spec: str) -> TailFunction:
     if not sep or name not in ("const", "geom", "logpow", "pow"):
         raise ValueError(f"unrecognized tail spec {spec!r}")
     return TailFunction(name, float(int(arg)) if name == "const" else float(arg))
+
+
+# -- inverse-transform table -------------------------------------------------
+
+# largest cap sample_radii searches a table for: 1 MB of float64
+_TABLE_CAP = 2**17
+
+
+@lru_cache(maxsize=16)
+def _neg_tail_table(tail: TailFunction, cap: int) -> np.ndarray:
+    """Read-only -f(1..cap) with its zero suffix dropped (f never rises, so zeros come last)."""
+    values = tail.values(np.arange(1, cap + 1, dtype=np.int64))
+    table = -values[: np.count_nonzero(values)]
+    table.flags.writeable = False
+    return table
 
 
 # -- prefix sums ------------------------------------------------------------

@@ -5,11 +5,14 @@ starts on Z/nZ and radii drawn from the tail by inverse transform, laid out
 only by ``_draw_arcs``. Coverage has two kernels. The one-pass prefix-max sweep
 ``_CoverSweep`` with a wrap term does O(n + arcs) vectorized work over n-sized
 buffers; every fixed-time coverage or vacancy question is read off its mask.
-The interval merge ``_SparseCover`` sorts the arcs it holds and does O(arcs)
-work with no n-sized buffer; its union is ``_merge_open``, which the circle
-model shares. ``run_to_cover`` picks one of the two per run, before the first
-draw: the merge when a batch holds at most n / ``SPARSE_SITES_PER_ARC`` arcs,
-else the sweep.
+The interval merge ``_SparseCover`` holds sorted pieces, sorts each batch and
+merges it in, with O(arcs) work and no n-sized buffer; its union is
+``_merge_open``, which the circle model shares. ``run_to_cover`` picks one of
+the two per run, before the first draw: the merge when a batch holds at most
+n / ``SPARSE_SITES_PER_ARC`` arcs, else the sweep. The sweep bisects the batch
+that covers for its shortest covering prefix; when earlier batches left V < n
+sites vacant, it bisects on the torus Z/VZ of those sites, with the arcs that
+reach none of them dropped, so each step costs O(V + arcs kept), not O(n + B).
 The arc-by-arc reference engines that tests compare both against live in
 ``tests/oracles.py``.
 """
@@ -148,7 +151,9 @@ def _merge_open(lo: np.ndarray, hi: np.ndarray):
     reach = np.maximum.accumulate(hi)
     first = np.ones(lo.size, dtype=bool)
     first[1:] = lo[1:] >= reach[:-1]
-    return lo[first], reach[np.roll(first, -1)]
+    last = np.ones(lo.size, dtype=bool)
+    last[:-1] = first[1:]
+    return lo[first], reach[last]
 
 
 def _shortest_prefix(covers, B: int) -> int:
@@ -181,14 +186,21 @@ class _SparseCover:
         """``_first_cover``'s place: the batch joins the pieces unless some prefix covers."""
         n = self.n
         P, B = len(self.starts), len(u)
-        # the pieces come first, so every prefix of the batch keeps them
-        starts = np.concatenate((self.starts, u))
-        order = np.argsort(starts)
-        starts = starts[order]
-        ends = np.concatenate((self.ends, u + r))[order]
+        # the pieces are sorted already: sort the batch alone and merge it in.
+        # rank is each entry's batch index, -1 for a piece, so every prefix
+        # of the batch keeps the pieces
+        order = np.argsort(u)
+        at = np.searchsorted(self.starts, u[order]) + np.arange(B)
+        rank = np.full(P + B, -1, dtype=np.int64)
+        rank[at] = order
+        piece = rank < 0
+        starts = np.empty(P + B, dtype=np.int64)
+        ends = np.empty(P + B, dtype=np.int64)
+        starts[at], ends[at] = u[order], (u + r)[order]
+        starts[piece], ends[piece] = self.starts, self.ends
 
         def covers(k):
-            kept = order < P + k
+            kept = rank < k
             reach = np.maximum.accumulate(np.where(kept, ends, 0))
             wrap = int(reach[-1]) - n
             if wrap < 0:
@@ -218,7 +230,12 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
     batches of B(tail, n); radii are clamped to n at placement. T is the sum of
     one standard exponential per placed arc. The engine is picked once, before
     the first draw: the interval merge when B <= n / SPARSE_SITES_PER_ARC, else
-    the sweep; both give the same first cover.
+    the sweep; both give the same first cover. The sweep bisects the covering
+    batch for its shortest covering prefix. If earlier batches left V < n
+    sites vacant, each arc becomes the arc of the vacant sites it reaches, on
+    Z/VZ, and arcs that reach none are dropped; the shortest prefix of the
+    kept arcs that covers Z/VZ ends at the arc whose batch index gives tau.
+    When the first batch covers (V = n), the search runs on Z/nZ.
     """
     _check_sweep_size(n)  # for both engines, until the merge is checked above the sweep's limit
     B = _default_batch(tail, n)
@@ -237,9 +254,35 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
         if not cov.all():
             before = cov
             return None
-        return _shortest_prefix(lambda k: bool((sweep.covered(u[:k], r[:k]) | before).all()), len(u))
+        # earlier batches left V sites vacant: search only among them
+        vacant = ~before
+        V = int(np.count_nonzero(vacant))
+        kept, search = None, sweep
+        if V < n:
+            kept, u, r = _vacant_arcs(vacant, V, u, r)
+            search = _CoverSweep(V)
+        k = _shortest_prefix(lambda j: bool(search.covered(u[:j], r[:j]).all()), len(u))
+        return k if kept is None else int(kept[k - 1]) + 1
 
     return _first_cover(tail, n, seed, B, place)
+
+
+def _vacant_arcs(vacant: np.ndarray, V: int, u: np.ndarray, r: np.ndarray):
+    """The arcs (u, r) on Z/nZ seen on the torus Z/VZ of the V sites flagged in ``vacant``.
+
+    Returns (kept, starts, lengths): the batch indices of the arcs that reach a
+    vacant site, each one's first vacant index mod V, and its vacant count.
+    """
+    n = len(vacant)
+    # count[x] = vacant sites in [0, x) of the doubled torus, x <= 2n, and
+    # every arc ends at u + r <= 2n - 1
+    count = np.zeros(2 * n + 1, dtype=np.int32)
+    np.cumsum(np.tile(vacant, 2), dtype=np.int32, out=count[1:])
+    lo = count[u]
+    lengths = count[u + r] - lo
+    kept = np.flatnonzero(lengths)
+    # an arc past the last vacant site starts at vacant index V, that is 0
+    return kept, lo[kept] % V, lengths[kept]
 
 
 # -- timed snapshots ---------------------------------------------------------
@@ -249,8 +292,9 @@ _DRAW_CHUNK = 1 << 22
 
 def _covered_at(tail: TailFunction, n: int, t: float, seed: int) -> np.ndarray:
     """Coverage of every site at Poisson time t: N ~ Poisson(t) arcs, drawn in chunks, swept into one mask."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    # Poisson(t) needs a finite t; NaN fails both comparisons
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     sweep = _CoverSweep(n)
     rng = generator(seed)
     N = int(rng.poisson(t))
@@ -285,15 +329,15 @@ def site_vacancy(tail: TailFunction, n: int, t: float, seed: int, sites) -> np.n
 
 def vacancy_probability_exact(tail: TailFunction, n: int, t: float) -> float:
     """P(one fixed site vacant at time t) = exp(-t F_n / n)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:  # also refuses NaN
+        raise ValueError(f"t must be >= 0, got {t}")
     return math.exp(-t * tail_prefix_total(tail, n) / n)
 
 
 def pair_vacancy_exact(tail: TailFunction, n: int, t: float, k: int) -> float:
     """P(sites 0 and k both vacant at time t) = exp(-t (F_k + F_{n-k}) / n)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:  # also refuses NaN
+        raise ValueError(f"t must be >= 0, got {t}")
     if not 1 <= k <= n - 1:
         raise IndexError(f"separation k={k} outside [1, {n - 1}]")
     fk = tail_prefix_total(tail, k) + tail_prefix_total(tail, n - k)

@@ -336,6 +336,7 @@ class TestCLI:
         ("karamata", "--tail", "geom:0.5", "--x", "2000"),
         ("cover", "--phase", "bstar", "--tail", "logpow:nan", "--n", "100", "--replicates", "3"),
         ("cover", "--phase", "bstar", "--tail", "logpow:inf", "--n", "100", "--replicates", "3"),
+        ("snapshot", "--tail", "const:1", "--n", "100", "--time", "nan", "--replicates", "3"),
     ])
     def test_bad_input_exits_2(self, args):
         res = self.run_cli(*args)

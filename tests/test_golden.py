@@ -12,10 +12,12 @@ The fixed-time torus outputs are pinned the same way: ``snapshot_vacant``
 [-n, 2n), so the mod-n reduction is pinned too) at three seeds per shape.
 
 ``run_to_cover`` is pinned over (tail, n, seed, batch size) with batch sizes 1
-and 64 next to the default, so the multi-batch path and the final-batch
-bisection are pinned at batch boundaries the preset digests never reach. The
-small batches come from a patched ``torus._default_batch`` (``oracles.batches_of``);
-each line hashed still names the batch size, None for the default.
+and 64 next to the default, so the multi-batch path and the search of the
+covering batch, on Z/nZ when it is the first batch and on the torus of the
+still-vacant sites after that, are pinned at batch boundaries the preset
+digests never reach. The small batches come from a patched
+``torus._default_batch`` (``oracles.batches_of``); each line hashed still
+names the batch size, None for the default.
 """
 import dataclasses
 import hashlib

@@ -110,12 +110,15 @@ class TestSampling:
 
     @pytest.mark.parametrize("tail", FAMILIES, ids=lambda t: t.spec_string)
     def test_vector_matches_scalar(self, tail):
+        # caps up to 2**17 search the table, larger ones guess and correct;
+        # 5e-324 is the least double, where geom:0.5's f(1075) lies
         rng = np.random.default_rng(915)
-        u = 1.0 - rng.random(400)
-        cap = 2**40
-        got = tail.sample_radii(u, cap=cap)
-        want = np.array([sample_radius_reference(tail, float(x), cap) for x in u])
-        assert np.array_equal(got, want)
+        for cap in (1, 7, 1000, 10**5, 2**17, 2**17 + 1, 2**40):
+            at_cap = [tail.value(r) for r in (cap - 1, cap, cap + 1) if r >= 1]
+            u = np.concatenate([1.0 - rng.random(400), [1.0, 2.0**-53, 5e-324], [x for x in at_cap if x > 0]])
+            got = tail.sample_radii(u, cap=cap)
+            want = np.array([sample_radius_reference(tail, float(x), cap) for x in u])
+            assert np.array_equal(got, want), cap
 
     @given(st.floats(min_value=1e-6, max_value=1.0, exclude_min=False))
     @settings(max_examples=60, deadline=None)

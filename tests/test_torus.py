@@ -244,6 +244,31 @@ class TestRunToCover:
             sweep_only = run_to_cover(tail, n, seed)
             assert merge_only == sweep_only == run_to_cover_reference(tail, n, seed)
 
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_final_batch_vacant_index_wrap(self, batch_size, monkeypatch):
+        # the covering batch is searched on Z/VZ, the V sites earlier batches
+        # left vacant. These runs map an arc that starts after the last vacant
+        # site to vacant index V mod V = 0, and an arc whose vacant range runs
+        # past V - 1 back round to 0. With one arc per batch nothing is
+        # bisected, so only batches of 3 reach _CoverSweep(V) with them
+        seen = set()
+        vacant_arcs = torus._vacant_arcs
+
+        def spy(vacant, V, u, r):
+            kept, starts, lengths = vacant_arcs(vacant, V, u, r)
+            if (u[kept] > np.flatnonzero(vacant)[-1]).any():
+                seen.add("starts after the last vacant site")
+            if (starts + lengths > V).any():
+                seen.add("wraps past V")
+            return kept, starts, lengths
+
+        monkeypatch.setattr(torus, "_vacant_arcs", spy)
+        tail = parse_tail("logpow:0")
+        with batches_of(batch_size):
+            for seed in range(20):
+                assert run_to_cover(tail, 6, seed) == run_to_cover_reference(tail, 6, seed), seed
+        assert seen == {"starts after the last vacant site", "wraps past V"}
+
     @given(
         n=st.integers(min_value=1, max_value=40),
         batches=st.lists(st.lists(st.tuples(st.integers(0, 39), st.integers(1, 40)), min_size=1, max_size=12),
@@ -347,6 +372,16 @@ class TestVacancyFormulas:
         with pytest.raises(IndexError):
             pair_vacancy_exact(parse_tail("const:1"), 10, 1.0, 0)
 
+    @pytest.mark.parametrize("formula", [
+        lambda t: vacancy_probability_exact(parse_tail("const:1"), 100, t),
+        lambda t: pair_vacancy_exact(parse_tail("const:1"), 100, t, 50),
+    ], ids=["single", "pair"])
+    def test_rejects_nan_time(self, formula):
+        # NaN passed a t < 0 check, and the formula returned nan
+        with pytest.raises(ValueError, match="t must be"):
+            formula(math.nan)
+        assert formula(math.inf) == 0.0
+
 
 class TestSnapshot:
     def test_time_zero(self):
@@ -369,6 +404,13 @@ class TestSnapshot:
         counts = np.array([snapshot_vacant(f, n, t, seed=s)[0] for s in range(200)])
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - 100.0) <= 3 * se
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_time(self, t):
+        # Poisson(t) needs a finite t >= 0; numpy's own error for NaN was
+        # "lam < 0 or lam is NaN"
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            snapshot_vacant(parse_tail("const:1"), 100, t, seed=1)
 
     def test_site_vacancy_matches_snapshot(self):
         n = 300
