@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: cover, snapshot, pi, dimension, shepp-series, calibrate, karamata.
-Exit codes: 0 success, 2 validation failure, 3 acceptance-gate failure under --assert.
+Exit codes: 0 success, 2 validation failure, 3 acceptance-gate failure (gates.py) under --assert.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .experiments import (
     run_experiment,
     vacancy_frequency,
 )
+from .gates import MIN_ACCEPTED, PHASE_GATES, GateResult, vacancy_gate
 from .tails import cf_estimate, karamata_ratio, parse_tail, rv_limit_probe
 from .torus import pair_vacancy_exact, vacancy_probability_exact
 
@@ -95,66 +96,21 @@ def _reject_repeats(args: argparse.Namespace) -> None:
             raise ValueError(f"{args.command} reads one {key}, got {len(values)}: {values}")
 
 
-# phases that _gate_cover evaluates
-_GATED_PHASES = ("gumbel", "calibration", "exponential", "preexp", "dimension")
-
-
-def _gate_cover(summary: dict) -> list[str]:
-    """Phase gates evaluated at the largest n (KS trend against the smallest)."""
-    failures = []
-    phase = summary["phase"]
-    groups = summary["groups"]
-    by_n = sorted(groups.items(), key=lambda kv: int(kv[0].rsplit("n=", 1)[1]))
-    if phase in ("gumbel", "calibration"):
-        d = by_n[-1][1]["ks"]["D"]
-        if d > 0.05:
-            failures.append(f"KS {d:.4f} > 0.05 at {by_n[-1][0]}")
-        if len(by_n) > 1 and d > by_n[0][1]["ks"]["D"]:
-            failures.append("KS did not improve with n")
-    elif phase == "exponential":
-        d = by_n[-1][1]["ks"]["D"]
-        if d > 0.15:
-            failures.append(f"KS {d:.4f} > 0.15 at {by_n[-1][0]}")
-        if len(by_n) > 1 and d >= by_n[0][1]["ks"]["D"]:
-            failures.append("KS did not improve with n")
-    elif phase == "preexp":
-        for key, group in groups.items():
-            for alpha, chk in group.get("bounds", {}).items():
-                if not chk["within_003"]:
-                    failures.append(f"{key}: ECDF({alpha}) = {chk['ecdf']:.4f} outside "
-                                    f"[{chk['lower']:.4f} - 0.03, {chk['upper']:.4f} + 0.03]")
-    elif phase == "dimension":
-        # one group per alpha, keyed alpha=<a>|n=<n>
-        top_n = by_n[-1][0].split("|")[1]
-        for key, group in by_n:
-            alpha, n = key.split("|")
-            if n != top_n:
-                continue
-            target = 1.0 - float(alpha.removeprefix("alpha="))
-            mean_exp = group["conditional_mean_exponent"]
-            if group["accepted"] < 30:
-                failures.append(f"{group['accepted']} non-covered configurations < 30 at {key}")
-            elif abs(mean_exp - target) > 0.1:
-                failures.append(f"exponent {mean_exp:.4f} not within 0.1 of {target:g} at {key}")
-    return failures
-
-
-def _failed_gates(summary: dict) -> bool:
-    """Print each failed gate of ``summary``; True when any failed."""
-    failures = _gate_cover(summary)
-    for f in failures:
-        print(f"GATE FAIL: {f}")
-    return bool(failures)
+def _failed(gate: GateResult) -> bool:
+    """Print a failed gate's detail; True when it failed."""
+    if not gate.ok:
+        print(f"GATE FAIL: {gate.detail}")
+    return not gate.ok
 
 
 def _cmd_cover(args) -> int:
     config = _experiment_config(args, args.preset)
-    if args.assert_gates and config.phase not in _GATED_PHASES:
-        raise ValueError(f"--assert has no gate for the {config.phase} phase (gated: {', '.join(_GATED_PHASES)})")
+    if args.assert_gates and config.phase not in PHASE_GATES:
+        raise ValueError(f"--assert has no gate for the {config.phase} phase (gated: {', '.join(PHASE_GATES)})")
     paths, summary = run_experiment(config, workers=args.workers)
     print(f"wrote {paths['csv']} {paths['summary']}")
     if args.assert_gates:
-        if _failed_gates(summary):
+        if _failed(PHASE_GATES[config.phase](summary)):
             return EXIT_GATE
         print("gates passed")
     return EXIT_OK
@@ -173,6 +129,8 @@ def _cmd_snapshot(args) -> int:
     _reject_repeats(args)
     tail = parse_tail(args.tail)
     n = args.n[0]
+    if n < 2:
+        raise ValueError(f"snapshot needs --n >= 2 for its site pair (0, n // 2), got --n {n}")
     mu = tail.mean()
     if args.time is not None:
         t = args.time
@@ -199,10 +157,7 @@ def _cmd_snapshot(args) -> int:
     }
     _emit_json(result, args.out)
     if args.assert_gates:
-        sd0 = math.sqrt(exact0 * (1 - exact0) / args.replicates)
-        sdp = math.sqrt(exact_pair * (1 - exact_pair) / args.replicates)
-        if abs(freq[0] - exact0) > 4 * sd0 or abs(joint - exact_pair) > 4 * sdp:
-            print("GATE FAIL: vacancy frequency outside 4 sigma of the exact formula")
+        if _failed(vacancy_gate((freq[0], joint), (exact0, exact_pair), args.replicates)):
             return EXIT_GATE
         print("gates passed")
     return EXIT_OK
@@ -224,13 +179,13 @@ def _cmd_dimension(args) -> int:
     _, summary = run_experiment(config, workers=args.workers)
     [group] = summary["groups"].values()
     accepted = group["accepted"]
-    if accepted < 30:
-        print(f"insufficient acceptances: {accepted} non-covered configurations < 30", file=sys.stderr)
+    if accepted < MIN_ACCEPTED:
+        print(f"insufficient acceptances: {accepted} non-covered configurations < {MIN_ACCEPTED}", file=sys.stderr)
         return EXIT_VALIDATION
     mean_exp = group["conditional_mean_exponent"]
     result = {"alpha": alpha, "n": n, "conditional_mean_exponent": mean_exp, "accepted": accepted}
     _emit_json(result, args.out)
-    return EXIT_GATE if args.assert_gates and _failed_gates(summary) else EXIT_OK
+    return EXIT_GATE if args.assert_gates and _failed(PHASE_GATES[config.phase](summary)) else EXIT_OK
 
 
 def _parse_length_sequence(spec: str):
@@ -262,7 +217,7 @@ def _cmd_calibrate(args) -> int:
     paths, summary = run_experiment(config, workers=args.workers)
     [group] = summary["groups"].values()
     print(f"wrote {paths['csv']}; KS vs Gumbel = {group['ks']['D']:.4f}")
-    return EXIT_GATE if args.assert_gates and _failed_gates(summary) else EXIT_OK
+    return EXIT_GATE if args.assert_gates and _failed(PHASE_GATES[config.phase](summary)) else EXIT_OK
 
 
 def _cmd_karamata(args) -> int:

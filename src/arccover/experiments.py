@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .gates import SANDWICH_SLACK
 from .seeding import PRNG_NAME, derive_seed
 from .stats import EmpiricalDistribution, coupon_collector_sample, exp_cdf, gumbel_cdf, ks_distance, preexp_bounds
 from .tails import TailFunction, parse_tail, star_probe, tail_prefix_total, triangle_probe
@@ -80,6 +81,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.phase} phase needs alpha_list")
         if self.phase == "dimension" and any(not 0.0 < a < 1.0 for a in self.alpha_list):
             raise ValueError("dimension phase needs alpha in (0,1)")
+        if self.phase == "dimension" and self.n_list[0] < 2:
+            raise ValueError(f"dimension phase needs n >= 2 (its exponent divides by ln n), got {self.n_list[0]}")
 
     def tail_function(self) -> TailFunction | None:
         return parse_tail(self.tail) if self.phase in COVER_PHASES else None
@@ -210,7 +213,7 @@ def _preexp_bound_check(tail: TailFunction, scaled: np.ndarray) -> dict:
             "lower": lower,
             "upper": upper,
             "ecdf": ecdf,
-            "within_003": bool(lower - 0.03 <= ecdf <= upper + 0.03),
+            "within_003": bool(lower - SANDWICH_SLACK <= ecdf <= upper + SANDWICH_SLACK),
         }
     return out
 

@@ -17,8 +17,9 @@ from arccover.experiments import (
     scale_sample,
     vacancy_frequency,
 )
+from arccover.gates import vacancy_gate
 from arccover.tails import parse_tail
-from arccover.torus import CoverResult, run_to_cover
+from arccover.torus import CoverResult, pair_vacancy_exact, run_to_cover, vacancy_probability_exact
 
 from oracles import derive_seeds
 
@@ -190,15 +191,13 @@ class TestRunExperiment:
 
 class TestVacancyFrequency:
     def test_matches_exact_formula(self):
-        from arccover.torus import vacancy_probability_exact
-
         f = parse_tail("const:1")
         n = 100
         t = 0.5 * n * math.log(n)
         freq, joint = vacancy_frequency(f, n, t, (0, 50), replicates=2000, base_seed=5)
-        p = vacancy_probability_exact(f, n, t)
-        sd = math.sqrt(p * (1 - p) / 2000)
-        assert abs(freq[0] - p) <= 4 * sd
+        exact = vacancy_probability_exact(f, n, t), pair_vacancy_exact(f, n, t, 50)
+        gate = vacancy_gate((freq[0], joint), exact, 2000)
+        assert gate.ok, gate.detail
 
 
 class TestCLI:
@@ -227,12 +226,12 @@ class TestCLI:
                            "--assert")
         assert res.returncode == 3
 
-    @pytest.mark.parametrize("phase, tail", [("bstar", "logpow:0"), ("compact", "logpow:1")])
+    @pytest.mark.parametrize("phase, tail", [("bstar", "logpow:0"), ("compact", "logpow:1"), ("shepp_pi", None)])
     def test_assert_without_gate_exits_2(self, tmp_path, phase, tail):
         # a phase with no gate must not report "gates passed"; it is refused before any replicate runs
         out = tmp_path / phase
-        res = self.run_cli("cover", "--phase", phase, "--tail", tail, "--n", "200", "--replicates", "5",
-                           "--out", str(out), "--assert")
+        run = ("--preset", phase) if tail is None else ("--phase", phase, "--tail", tail)
+        res = self.run_cli("cover", *run, "--n", "200", "--replicates", "5", "--out", str(out), "--assert")
         assert res.returncode == 2
         assert phase in res.stderr and "gates passed" not in res.stdout
         assert not out.with_suffix(".csv").exists()
@@ -337,6 +336,9 @@ class TestCLI:
         ("cover", "--phase", "bstar", "--tail", "logpow:nan", "--n", "100", "--replicates", "3"),
         ("cover", "--phase", "bstar", "--tail", "logpow:inf", "--n", "100", "--replicates", "3"),
         ("snapshot", "--tail", "const:1", "--n", "100", "--time", "nan", "--replicates", "3"),
+        ("dimension", "--alpha", "0.5", "--n", "1"),
+        ("cover", "--preset", "dimension", "--n", "1"),
+        ("snapshot", "--tail", "const:1", "--n", "1", "--alpha", "0.5", "--replicates", "3"),
     ])
     def test_bad_input_exits_2(self, args):
         res = self.run_cli(*args)
