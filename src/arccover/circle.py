@@ -4,12 +4,15 @@ A configuration at intensity alpha and truncation z is a Poisson draw of
 (position, length) points with rate alpha dx dy/y^2 restricted to y > z.
 Each point projects to the OPEN arc (x, x+y) on the circle; points with y > 1
 cover everything. Interval arithmetic is exact under that open convention:
-abutting arcs leave their shared endpoint uncovered.
+abutting arcs leave their shared endpoint uncovered. On the lattice Z/nZ, site
+j is covered by (x, x + y) iff n·x < j < n·(x + y), taken mod n and exact on the
+stored doubles; each lattice boundary is one exact floor, ``_floor_n``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,23 +127,6 @@ def is_covered(config: CircleConfiguration) -> bool:
     return not _vacant_bounds(config)[0].size
 
 
-def _lattice_vacant(config: CircleConfiguration, n: int) -> np.ndarray:
-    """Vacancy indicator for the n lattice points k/n (open-arc convention)."""
-    lo, hi = _vacant_bounds(config)
-    # k/n + 1.0 meets the bounds in the doubled window, as in the merge; the
-    # pieces are sorted and disjoint, so it lies in one iff more of them start
-    # at or before it than end before it
-    pos = np.arange(n, dtype=np.float64) / n + 1.0
-    return np.searchsorted(lo, pos, side="right") > np.searchsorted(hi, pos, side="left")
-
-
-def count_missing_lattice(config: CircleConfiguration, n: int) -> int:
-    """Z_n: lattice points k/n left vacant by a configuration truncated at 1/n."""
-    if config.z > 1.0 / n * (1.0 + 1e-12):
-        raise ValueError(f"truncation mismatch: config.z={config.z} exceeds 1/n={1.0 / n}")
-    return int(np.count_nonzero(_lattice_vacant(config, n)))
-
-
 # -- coupled discrete projections --------------------------------------------
 
 
@@ -155,30 +141,42 @@ class ProjectionSet:
         return bool(np.all(other.mask[self.mask]))
 
 
+def _floor_n(n: int, x: np.ndarray, y=0.0) -> np.ndarray:
+    """floor(n·(x + y)) as int64, exact on the stored doubles."""
+    v = n * (x + y)
+    out = np.floor(v).astype(np.int64)
+    # v is off by < 1.5 ulps < 2**-50·|v|, so only a v that close to an integer needs Fraction
+    for i in (np.abs(v - np.rint(v)) <= 2.0**-50 * np.abs(v)).nonzero()[0]:
+        out[i] = math.floor(n * (Fraction(x[i]) + Fraction(np.broadcast_to(y, v.shape)[i])))
+    return out
+
+
+def _check_truncation(config: CircleConfiguration, n: int) -> None:
+    if config.z > 1.0 / n * (1.0 + 1e-12):
+        raise ValueError(f"truncation mismatch: config.z={config.z} exceeds 1/n={1.0 / n}")
+
+
 def project_W(config: CircleConfiguration, n: int) -> ProjectionSet:
     """Square-grid projection: each point covers ceil(nx) .. ceil(nx)+floor(ny)-1."""
-    if config.z > 1.0 / n * (1.0 + 1e-12):
-        raise ValueError("config must be truncated at z <= 1/n")
-    xs, ys = config.xs, config.ys
-    k = np.minimum(np.floor(n * ys), n).astype(np.int64)
+    _check_truncation(config, n)
+    k = np.minimum(_floor_n(n, config.ys), n)
     keep = k >= 1
-    mask = covered_mask(n, np.ceil(n * xs[keep]).astype(np.int64), k[keep])
-    return ProjectionSet(n=n, mask=mask)
+    return ProjectionSet(n, covered_mask(n, -_floor_n(n, -config.xs[keep]), k[keep]))
 
 
 def project_X(config: CircleConfiguration, n: int) -> ProjectionSet:
-    """Lattice-run projection: each point covers the maximal run of j with j/n
-    strictly inside its open arc."""
-    if config.z > 1.0 / n * (1.0 + 1e-12):
-        raise ValueError("config must be truncated at z <= 1/n")
+    """Lattice-run projection: each point covers the j with n·x < j < n·(x + y)."""
+    _check_truncation(config, n)
     xs, ys = config.xs, config.ys
-    full = ys > 1.0
-    lo = np.floor(n * xs).astype(np.int64) + 1
-    hi = np.ceil(n * (xs + ys)).astype(np.int64) - 1
-    length = np.where(full, n, np.minimum(hi - lo + 1, n))
+    lo = _floor_n(n, xs) + 1
+    length = np.where(ys > 1.0, n, np.minimum(-_floor_n(n, -xs, -ys) - lo, n))  # ceil(n·(x + y)) - lo
     keep = length >= 1
-    mask = covered_mask(n, lo[keep], length[keep])
-    return ProjectionSet(n=n, mask=mask)
+    return ProjectionSet(n, covered_mask(n, lo[keep], length[keep]))
+
+
+def count_missing_lattice(config: CircleConfiguration, n: int) -> int:
+    """Z_n: lattice sites left vacant by a configuration truncated at 1/n."""
+    return n - int(np.count_nonzero(project_X(config, n).mask))
 
 
 # -- series diagnostic and fractal exponent ----------------------------------

@@ -238,6 +238,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     t0 = time.monotonic()
     tasks = _task_list(config)
     fn = _TASKS[config.phase]
+    workers = min(workers, len(tasks))  # no idle processes for a few tasks
     if workers <= 1:
         rows = [fn(t) for t in tasks]
     else:

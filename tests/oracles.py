@@ -11,7 +11,9 @@ does not collect it.
 * ``NaiveCoverState``: a boolean array with the same interface.
 
 ``lattice_vacant_reference`` does the same for the circle model: it checks
-each lattice point against each arc in turn.
+each lattice site against each arc in turn, in exact rational arithmetic on
+the stored doubles, so tests can check ``project_X`` and
+``count_missing_lattice`` against the lattice rule at every boundary.
 
 ``sample_radius_reference`` is the scalar inverse transform of a tail, found
 by doubling and bisection on ``TailFunction.value``; tests check the
@@ -26,6 +28,7 @@ boundaries that the default batch size never hits.
 """
 import contextlib
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,21 +178,22 @@ def run_to_cover_reference(tail: TailFunction, n: int, seed: int, engine: str = 
 
 
 def lattice_vacant_reference(xs, ys, n: int) -> np.ndarray:
-    """Vacancy of the lattice points k/n, one arc at a time.
+    """Vacancy of the lattice sites j of Z/nZ, one arc at a time.
 
-    Uses the float convention of ``arccover.circle``: point k is covered when
-    k/n + 1.0 lies strictly inside (x, x+y) or (x+1, x+y+1), and any y > 1
-    covers everything.
+    The rule of ``arccover.circle``: site j is covered by (x, x+y) iff
+    n·x < j < n·(x+y) for j or j + n, in ``Fraction`` arithmetic on the stored
+    doubles, and any y > 1 covers everything.
     """
     vacant = np.ones(n, dtype=bool)
     for x, y in zip(list(xs), list(ys)):
         if y > 1.0:
             vacant[:] = False
             break
-        for k in range(n):
-            p = k / n + 1.0
-            if x < p < x + y or x + 1.0 < p < x + y + 1.0:
-                vacant[k] = False
+        lo = Fraction(x) * n
+        hi = (Fraction(x) + Fraction(y)) * n
+        for j in range(n):
+            if lo < j < hi or lo < j + n < hi:
+                vacant[j] = False
     return vacant
 
 

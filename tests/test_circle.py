@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arccover import cli
@@ -10,7 +11,6 @@ from arccover.circle import (
     CONVERGING,
     DIVERGING,
     CircleConfiguration,
-    _lattice_vacant,
     count_missing_lattice,
     is_covered,
     project_W,
@@ -32,10 +32,13 @@ def config(points, alpha=1.0, z=0.01):
 
 @st.composite
 def lattice_configs(draw):
-    """A lattice size n and up to 10 arcs; ends often fall on multiples of 1/n."""
+    """A lattice size n and up to 10 arcs; ends often fall on, or one double
+    either side of, multiples of 1/n."""
     n = draw(st.integers(1, 40))
-    on_grid = st.integers(0, 2 * n).map(lambda k: k / n)
-    x = st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_grid.filter(lambda v: v < 1.0))
+    k_over_n = st.integers(0, 2 * n).map(lambda k: k / n)
+    beside = st.tuples(k_over_n, st.sampled_from((-1.0, 2.0))).map(lambda t: float(np.nextafter(*t)))
+    on_grid = st.one_of(k_over_n, beside)
+    x = st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_grid.filter(lambda v: 0.0 <= v < 1.0))
     y = st.one_of(st.floats(1e-3, 1.5), on_grid.filter(lambda v: v > 0.0))
     return n, config(draw(st.lists(st.tuples(x, y), max_size=10)), z=1.0 / n)
 
@@ -151,16 +154,26 @@ class TestLatticeCount:
             count_missing_lattice(config([], z=0.2), 20)
 
     def test_open_boundary_counts_as_vacant(self):
-        # arc (0.1, 0.3): lattice point 0.1 sits on the boundary, stays vacant
-        cfg = config([(0.1, 0.2)], z=0.05)
-        vac = [k for k in range(10) if k / 10 in (0.1, 0.2)]
-        assert count_missing_lattice(cfg, 10) == 10 - 1  # only 0.2 strictly inside
+        # arc (1/8, 3/8) at n = 8: dyadic, so every rule agrees; site 1 sits
+        # on the open left end and stays vacant, site 3 on the right end too
+        assert count_missing_lattice(config([(0.125, 0.25)], z=0.05), 8) == 8 - 1
+        # arc (0.1, 0.1 + 0.2) at n = 10: in doubles 10·x > 1, so site 1 stays
+        # vacant, and 0.1 + 0.2 > 3/10, so site 3 lies strictly inside with site 2
+        assert count_missing_lattice(config([(0.1, 0.2)], z=0.05), 10) == 10 - 2
 
     @given(lattice_configs())
+    @example((2, config([(0.49999999999999994, 0.6)], z=0.5)))  # x + 1.0 rounds up to 1.5
+    @example((22, config([(15 / 22, 2.5 / 22)], z=1 / 22)))  # 22·x rounds down to 15
+    @example((10, config([(0.1, 0.2)], z=0.1)))  # 0.1 + 0.2 > 3/10
+    @example((5, config([(0.0, 0.2)], z=0.2)))  # 5·0.2 rounds to 1.0 but exceeds 1
+    @example((8, config([(0.125, 0.25)], z=0.125)))  # dyadic: no rounding at all
+    @example((25, config([(0.09617544230010422, 0.18382455769989578)], z=0.04)))  # 25·(x + y) < 7 rounds above 7
     @settings(max_examples=300, deadline=None)
     def test_matches_arc_by_arc_reference(self, case):
         n, cfg = case
-        assert _lattice_vacant(cfg, n).tolist() == lattice_vacant_reference(cfg.xs, cfg.ys, n).tolist()
+        vacant = lattice_vacant_reference(cfg.xs, cfg.ys, n)
+        assert (~project_X(cfg, n).mask).tolist() == vacant.tolist()
+        assert count_missing_lattice(cfg, n) == np.count_nonzero(vacant)
 
     @pytest.mark.slow
     def test_expected_count(self):
@@ -180,9 +193,14 @@ class TestTruncationMonotonicity:
         coarse_v = vacant_set(coarse)
         assert fine_v.total_length <= coarse_v.total_length + 1e-12
         # probe points vacant under the finer configuration stay vacant under the coarser
-        finer_vacant = _lattice_vacant(base, 733)
-        coarser_vacant = _lattice_vacant(coarse, 733)
-        assert np.all(coarser_vacant[finer_vacant])
+        probes = np.arange(733) / 733
+
+        def probe_vacant(v):
+            lo, hi = np.array(v.pieces).reshape(-1, 2).T
+            return np.any((lo <= probes[:, None]) & (probes[:, None] <= hi), axis=1)
+
+        finer_vacant = probe_vacant(fine_v)
+        assert np.all(probe_vacant(coarse_v)[finer_vacant])
 
     def test_truncate_validates(self):
         cfg = sample_truncated(0.5, 0.01, seed=2)
@@ -219,6 +237,16 @@ class TestProjections:
                 if not project_W(cfg, n).issubset(project_X(cfg, n)):
                     violations += 1
         assert violations == 0
+
+    @given(lattice_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_w_inside_x_off_grid(self, case):
+        # W starts at ceil(n·x), which leaves X only when n·x is an integer
+        # (test_w_example); every arc kept here has a non-integer n·x
+        n, cfg = case
+        keep = np.array([(Fraction(x) * n).denominator != 1 for x in cfg.xs], dtype=bool)
+        cfg = config(list(zip(cfg.xs[keep], cfg.ys[keep])), z=cfg.z)
+        assert project_W(cfg, n).issubset(project_X(cfg, n))
 
     def test_missing_lattice_iff_x_incomplete(self):
         for rep in range(200):

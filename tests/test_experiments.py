@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from arccover import cli
+from arccover import cli, experiments
 from arccover.experiments import (
     DEFAULT_BASE_SEED,
     ExperimentConfig,
@@ -158,6 +158,33 @@ class TestRunExperiment:
             paths, _ = run_experiment(small_config, workers=workers)
             outputs.append((paths["csv"].read_bytes(), paths["summary"].read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_pool_sized_to_tasks(self, tmp_path, monkeypatch):
+        # a fake pool records its size and maps in this process, so no worker
+        # starts; 2 tasks get 2 processes, 1 task runs serially
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(experiments, "Pool", FakePool)
+        for replicates, want in ((2, [2]), (1, [])):
+            sizes.clear()
+            cfg = ExperimentConfig(phase="gumbel", tail="const:1", n_list=(64,), replicates=replicates,
+                                   base_seed=99, output_path=str(tmp_path / f"r{replicates}"))
+            paths, _ = run_experiment(cfg, workers=64)
+            assert sizes == want
+            assert len(paths["csv"].read_text().splitlines()) == 1 + replicates
 
     def test_manifest_fields(self, small_config):
         paths, _ = run_experiment(small_config)
