@@ -19,6 +19,11 @@ the stored doubles, so tests can check ``project_X`` and
 by doubling and bisection on ``TailFunction.value``; tests check the
 vectorized ``TailFunction.sample_radii`` against it.
 
+``tail_prefix_total_reference`` is the prefix total F_n as the library summed
+it before its exact chunk sums: ``math.fsum`` of each 2**16-term chunk, then
+``math.fsum`` of the chunk sums. Tests check ``tail_prefix_total`` against it
+bit for bit.
+
 ``derive_seeds`` is ``derive_seed`` vectorized over replicates, fast enough for
 the seed collision scan.
 
@@ -27,6 +32,7 @@ batches of B arcs by patching ``torus._default_batch``, so tests reach batch
 boundaries that the default batch size never hits.
 """
 import contextlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +41,7 @@ import pytest
 
 from arccover import torus
 from arccover.seeding import _K0, _K1, _K2, _M1, _M2, _MASK
-from arccover.tails import TailFunction
+from arccover.tails import _CHUNK, TailFunction
 from arccover.torus import CoverResult, _first_cover
 
 
@@ -212,6 +218,21 @@ def sample_radius_reference(tail: TailFunction, u: float, cap: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def tail_prefix_total_reference(tail: TailFunction, n: int) -> float:
+    """F_n = sum_{i<=n} f(i) as fsum of chunk fsums."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if tail.family == "const":
+        return float(min(n, int(tail.param)))
+    if tail.family == "geom":
+        q = tail.param
+        return (1.0 - q**n) / (1.0 - q)
+    # a memoryview hands fsum Python floats one at a time, without boxing
+    # numpy scalars or building a list
+    return math.fsum([math.fsum(memoryview(tail.values(np.arange(start, min(start + _CHUNK, n + 1), dtype=np.int64))))
+                      for start in range(1, n + 1, _CHUNK)])
 
 
 def derive_seeds(base: int, n: int, replicates: np.ndarray) -> np.ndarray:

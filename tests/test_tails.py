@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arccover.tails import (
+    _CHUNK,
     TailFunction,
+    _exact_sum,
     cf_estimate,
     karamata_ratio,
     parse_tail,
@@ -14,7 +16,7 @@ from arccover.tails import (
     tail_prefix_total,
 )
 
-from oracles import sample_radius_reference
+from oracles import sample_radius_reference, tail_prefix_total_reference
 
 FAMILIES = [
     parse_tail("const:1"),
@@ -171,6 +173,61 @@ class TestMoments:
         tail = parse_tail("pow:-0.5")
         direct = math.fsum(tail.values(np.arange(1, 10**6 + 1)))
         assert abs(tail_prefix_total(tail, 10**6) - direct) / direct < 1e-9
+
+    @pytest.mark.parametrize("spec", ["const:3", "geom:0.5", "logpow:0", "pow:-0.5", "slowlog"])
+    def test_prefix_refuses_non_integral_n(self, spec):
+        with pytest.raises(ValueError, match="integer"):
+            tail_prefix_total(parse_tail(spec), 2.5)
+
+    @pytest.mark.parametrize("spec", ["const:3", "geom:0.5", "logpow:0", "pow:-0.5", "slowlog"])
+    def test_prefix_takes_integral_float_as_int(self, spec):
+        tail = parse_tail(spec)
+        assert tail_prefix_total.__wrapped__(tail, 5.0) == tail_prefix_total.__wrapped__(tail, 5)
+
+
+EXACT_SPECS = ["logpow:-0.99", "logpow:0", "logpow:1", "logpow:3", "pow:-0.01", "pow:-0.5", "pow:-0.99", "slowlog"]
+EXACT_NS = [1, 2, 3, 4097, 65535, 65536, 65537, 131073, 100000]
+# positive doubles from 2**-1074 to just below 2**51, subnormals included
+WIDE_FLOATS = st.builds(math.ldexp, st.floats(min_value=0.5, max_value=1.0, exclude_max=True), st.integers(-1073, 51))
+SUMMANDS = st.one_of(st.just(0.0), st.just(-0.0), st.just(5e-324), st.floats(min_value=0.0, max_value=2.0**50), WIDE_FLOATS)
+
+
+class TestPrefixExact:
+    """tail_prefix_total keeps the bits of fsum over chunk fsums; _exact_sum keeps those of fsum."""
+
+    @pytest.mark.parametrize("n", EXACT_NS)
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_bits_equal_chunk_fsums(self, spec, n):
+        tail = parse_tail(spec)
+        assert tail_prefix_total(tail, n) == tail_prefix_total_reference(tail, n)
+
+    @pytest.mark.parametrize("spec", ["pow:-0.5", "slowlog"])
+    def test_bits_equal_chunk_fsums_at_benchmark_size(self, spec):
+        tail = parse_tail(spec)
+        assert tail_prefix_total(tail, 10**6) == tail_prefix_total_reference(tail, 10**6)
+
+    @given(st.lists(SUMMANDS, min_size=1, max_size=300), st.integers(1, 200), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_sum_is_fsum(self, summands, repeat, descending):
+        # repeats build runs of equal exponent; a descending array is laid out as f is
+        x = np.repeat(np.array(summands, dtype=np.float64), repeat)
+        if descending:
+            x = np.sort(x)[::-1].copy()
+        assert _exact_sum(x) == math.fsum(x)
+
+    @pytest.mark.parametrize("value", [np.nextafter(2.0, 0.0), np.nextafter(2.0**-1022, 0.0), np.nextafter(2.0**50, 0.0)],
+                             ids=["normal", "subnormal", "large"])
+    def test_exact_sum_full_limbs(self, value):
+        # every fraction bit set in every entry of a full chunk: each limb sums to its largest total
+        x = np.full(_CHUNK, value)
+        assert _exact_sum(x) == math.fsum(x)
+        x[::2] = 0.0
+        assert _exact_sum(x) == math.fsum(x)
+
+    def test_exact_sum_subnormals_only(self):
+        x = np.array([5e-324, 5e-324, 1e-310, 0.0, 2.0**-1022])
+        assert _exact_sum(x) == math.fsum(x)
+        assert _exact_sum(np.zeros(3)) == 0.0
 
 
 class TestDiagnostics:
