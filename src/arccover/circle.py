@@ -42,6 +42,12 @@ class CircleConfiguration:
     xs: np.ndarray
     ys: np.ndarray
 
+    def __post_init__(self):
+        if self.xs.shape != self.ys.shape:
+            raise ValueError(f"xs and ys differ in shape: {self.xs.shape} vs {self.ys.shape}")
+        if not (np.all((self.xs >= 0.0) & (self.xs < 1.0)) and np.all(self.ys > 0.0)):
+            raise ValueError("every arc needs a start x in [0, 1) and a length y > 0")
+
     @property
     def count(self) -> int:
         return int(self.xs.size)
@@ -93,24 +99,25 @@ def sample_truncated(alpha: float, z: float, seed: int) -> CircleConfiguration:
 
 
 def _vacant_bounds(config: CircleConfiguration) -> tuple[np.ndarray, np.ndarray]:
-    """Closed vacant pieces [lo[i], hi[i]], sorted and disjoint, in the doubled window [1, 2]."""
+    """Closed vacant pieces [lo[i], hi[i]], sorted and disjoint, in the window [1, 2].
+
+    A circle point q is covered iff q + 1 lies strictly inside a merged arc
+    (x + 1, (x + y) + 1), or inside (x, x + y) for an arc with x + y > 1; those
+    seam arcs all hold the point 1.0, so they merge into the first group. 2.0
+    stands for the same circle point as 1.0, so no gap starts there.
+    """
     if np.any(config.ys > 1.0):
         return np.empty(0), np.empty(0)
-    # merge the open arcs in doubled coordinates, where a circle point q is
-    # covered iff q+1 lies strictly inside a merged interval; _merge_open
-    # keeps abutting arcs apart, so their junction stays uncovered
-    xs, ys = config.xs, config.ys
-    s = np.concatenate([xs, xs + 1.0])
-    e = np.concatenate([xs + ys, xs + ys + 1.0])
+    s = config.xs + 1.0
+    # stable: an arc with (x + y) + 1.0 == x + 1.0 opens a group only when it comes first among equal starts
     order = np.argsort(s, kind="stable")
-    gs, ge = _merge_open(s[order], e[order])
-    # closed gaps of the merged cover, clipped to the window [1, 2) that holds
-    # one representative q+1 of every circle point q
-    bounds_lo = np.concatenate([[-math.inf], ge])
-    bounds_hi = np.concatenate([gs, [math.inf]])
-    lo = np.maximum(bounds_lo, 1.0)
-    hi = np.minimum(bounds_hi, 2.0)
-    keep = (bounds_lo < 2.0) & (bounds_hi >= 1.0) & (lo <= hi)
+    ends = (config.xs + config.ys)[order]
+    seam = ends > 1.0
+    gs, ge = _merge_open(np.concatenate([config.xs[order][seam], s[order]]),
+                         np.concatenate([ends[seam], ends + 1.0]))
+    lo = np.concatenate([[1.0], ge])
+    hi = np.concatenate([gs, [2.0]])
+    keep = (lo <= hi) & (lo < 2.0)
     return lo[keep], hi[keep]
 
 

@@ -26,7 +26,6 @@ from .circle import count_missing_lattice, sample_truncated, vacant_set
 
 __all__ = [
     "ExperimentConfig",
-    "RunManifest",
     "derive_seed",
     "scale_sample",
     "run_experiment",
@@ -83,18 +82,6 @@ class ExperimentConfig:
             raise ValueError("dimension phase needs alpha in (0,1)")
         if self.phase == "dimension" and self.n_list[0] < 2:
             raise ValueError(f"dimension phase needs n >= 2 (its exponent divides by ln n), got {self.n_list[0]}")
-
-    def tail_function(self) -> TailFunction | None:
-        return parse_tail(self.tail) if self.phase in COVER_PHASES else None
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config: dict
-    artifact_version: str
-    prng: str
-    wall_clock_seconds: float
-    per_n_replicates: dict
 
 
 def scale_sample(phase: str, tail: TailFunction, n: int, result: CoverResult) -> float:
@@ -175,8 +162,7 @@ def _task_list(config: ExperimentConfig):
 
 def _format_row(row) -> str:
     phase, family, n, rep, seed, tau, t_val, scaled = row
-    tau_s = str(int(tau)) if float(tau) == int(tau) else f"{tau:.17g}"
-    return f"{phase},{family},{n},{rep},{seed},{tau_s},{t_val:.17g},{scaled:.17g}"
+    return f"{phase},{family},{n},{rep},{seed},{tau:d},{t_val:.17g},{scaled:.17g}"
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -252,7 +238,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     csv_path.write_text(CSV_HEADER + "\n" + "\n".join(_format_row(r) for r in rows) + "\n")
 
     summary: dict = {"phase": config.phase, "tail": config.tail, "base_seed": config.base_seed, "groups": {}}
-    tail = config.tail_function()
     for key in sorted({(r[1], r[2]) for r in rows}):
         family, n = key
         scaled = np.array([r[7] for r in rows if (r[1], r[2]) == key], dtype=np.float64)
@@ -273,24 +258,24 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
             }
         else:
             group = _summarize_group(config.phase, scaled)
-            if config.phase == "preexp" and tail is not None:
-                group["bounds"] = _preexp_bound_check(tail, scaled)
-            if config.phase == "compact" and tail is not None:
-                group["tightness"] = _compact_diagnostics(tail, n)
+            if config.phase == "preexp":
+                group["bounds"] = _preexp_bound_check(parse_tail(config.tail), scaled)
+            if config.phase == "compact":
+                group["tightness"] = _compact_diagnostics(parse_tail(config.tail), n)
         summary["groups"][f"{family}|n={n}"] = group
 
     summary_path = out.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    manifest = RunManifest(
-        config=asdict(config),
-        artifact_version=__version__,
-        prng=PRNG_NAME,
-        wall_clock_seconds=time.monotonic() - t0,
-        per_n_replicates={str(n): config.replicates for n in config.n_list},
-    )
+    manifest = {
+        "config": asdict(config),
+        "artifact_version": __version__,
+        "prng": PRNG_NAME,
+        "wall_clock_seconds": time.monotonic() - t0,
+        "per_n_replicates": {str(n): config.replicates for n in config.n_list},
+    }
     manifest_path = out.with_suffix(".manifest.json")
-    manifest_path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     paths = {"csv": csv_path, "summary": summary_path, "manifest": manifest_path}
     return paths, summary

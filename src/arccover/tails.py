@@ -86,11 +86,15 @@ class TailFunction:
         """f(r) = P(R >= r) for one integer radius 1 <= r <= 2**53."""
         if not 1 <= r <= 2**53:
             raise ValueError("radius argument must lie in [1, 2**53]")
-        return float(self.values(np.asarray([r], dtype=np.int64))[0])
+        return float(self.values(np.asarray([r]))[0])
 
     def values(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized f over an int64 array of radii >= 1."""
-        r = np.asarray(r, dtype=np.int64)
+        """Vectorized f over an array of integer radii >= 1 (an integral float is taken as its int)."""
+        r = np.asarray(r)
+        if r.dtype.kind not in "iu":
+            if not np.all(np.isfinite(r) & (r == np.floor(r))):
+                raise ValueError("radius argument must be an integer")
+            r = r.astype(np.int64)
         if r.size and int(r.min()) < 1:
             raise ValueError("radius argument must be >= 1")
         fam = self.family
@@ -103,15 +107,10 @@ class TailFunction:
             return np.power(rf, self.param)
         if fam == "slowlog":
             return 1.0 / (1.0 + np.log(rf))
-        # logpow envelope: 1 at r=1, else min(1, ln(2)^b/2, ln(r)^b/r)
-        out = np.empty_like(rf)
-        one = r == 1
-        out[one] = 1.0
-        rest = ~one
+        # logpow envelope: 1 at r=1, else min(1, ln(2)^b/2, ln(r)^b/r); at
+        # r = 1, ln(1)^b divides by zero for b < 0 and is replaced
         with np.errstate(divide="ignore"):
-            base = self._raw_logpow(rf[rest])
-        out[rest] = np.minimum(self._envelope_head(), base)
-        return out
+            return np.where(r == 1, 1.0, np.minimum(self._envelope_head(), self._raw_logpow(rf)))
 
     # -- sampling ----------------------------------------------------------
     def sample_radii(self, u: np.ndarray, cap: int) -> np.ndarray:

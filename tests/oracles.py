@@ -15,6 +15,11 @@ each lattice site against each arc in turn, in exact rational arithmetic on
 the stored doubles, so tests can check ``project_X`` and
 ``count_missing_lattice`` against the lattice rule at every boundary.
 
+``vacant_bounds_reference`` is the circle's vacant set as the library merged
+it before it read one copy of the arcs: every arc twice, at x and x + 1, with
+the gaps clipped to the window [1, 2]. Tests check ``circle._vacant_bounds``
+against it bit for bit.
+
 ``sample_radius_reference`` is the scalar inverse transform of a tail, found
 by doubling and bisection on ``TailFunction.value``; tests check the
 vectorized ``TailFunction.sample_radii`` against it.
@@ -42,7 +47,7 @@ import pytest
 from arccover import torus
 from arccover.seeding import _K0, _K1, _K2, _M1, _M2, _MASK
 from arccover.tails import _CHUNK, TailFunction
-from arccover.torus import CoverResult, _first_cover
+from arccover.torus import CoverResult, _first_cover, _merge_open
 
 
 class TorusCoverState:
@@ -201,6 +206,28 @@ def lattice_vacant_reference(xs, ys, n: int) -> np.ndarray:
             if lo < j < hi or lo < j + n < hi:
                 vacant[j] = False
     return vacant
+
+
+def vacant_bounds_reference(config) -> tuple[np.ndarray, np.ndarray]:
+    """Closed vacant pieces [lo[i], hi[i]], sorted and disjoint, in the doubled window [1, 2]."""
+    if np.any(config.ys > 1.0):
+        return np.empty(0), np.empty(0)
+    # merge the open arcs in doubled coordinates, where a circle point q is
+    # covered iff q+1 lies strictly inside a merged interval; _merge_open
+    # keeps abutting arcs apart, so their junction stays uncovered
+    xs, ys = config.xs, config.ys
+    s = np.concatenate([xs, xs + 1.0])
+    e = np.concatenate([xs + ys, xs + ys + 1.0])
+    order = np.argsort(s, kind="stable")
+    gs, ge = _merge_open(s[order], e[order])
+    # closed gaps of the merged cover, clipped to the window [1, 2) that holds
+    # one representative q+1 of every circle point q
+    bounds_lo = np.concatenate([[-math.inf], ge])
+    bounds_hi = np.concatenate([gs, [math.inf]])
+    lo = np.maximum(bounds_lo, 1.0)
+    hi = np.minimum(bounds_hi, 2.0)
+    keep = (bounds_lo < 2.0) & (bounds_hi >= 1.0) & (lo <= hi)
+    return lo[keep], hi[keep]
 
 
 def sample_radius_reference(tail: TailFunction, u: float, cap: int) -> int:

@@ -11,6 +11,7 @@ from arccover.circle import (
     CONVERGING,
     DIVERGING,
     CircleConfiguration,
+    _vacant_bounds,
     count_missing_lattice,
     is_covered,
     project_W,
@@ -21,7 +22,7 @@ from arccover.circle import (
 )
 from arccover.experiments import ExperimentConfig, run_experiment
 
-from oracles import lattice_vacant_reference
+from oracles import lattice_vacant_reference, vacant_bounds_reference
 
 
 def config(points, alpha=1.0, z=0.01):
@@ -41,6 +42,33 @@ def lattice_configs(draw):
     x = st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_grid.filter(lambda v: 0.0 <= v < 1.0))
     y = st.one_of(st.floats(1e-3, 1.5), on_grid.filter(lambda v: v > 0.0))
     return n, config(draw(st.lists(st.tuples(x, y), max_size=10)), z=1.0 / n)
+
+
+_SEAM_X = 1.0 - 2.0**-53  # the largest x; x + 1.0 rounds to 2.0
+
+
+@st.composite
+def seam_configs(draw):
+    """Up to 12 arcs; starts often repeat or sit at 0 or just below 1, and
+    lengths range from the smallest double to past the whole circle."""
+    x = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from((0.0, 0.25, 0.5, _SEAM_X)))
+    y = st.one_of(st.floats(0.0, 1.5, exclude_min=True), st.sampled_from((2.0**-53, 0.25, 0.5, 1.0)))
+    return config(draw(st.lists(st.tuples(x, y), max_size=12)))
+
+
+class TestConfiguration:
+    @pytest.mark.parametrize("xs, ys", [
+        ([-0.25], [0.5]),
+        ([1.0], [0.5]),
+        ([math.nan], [0.5]),
+        ([0.5], [0.0]),
+        ([0.5], [-0.2]),
+        ([0.5], [math.nan]),
+        ([0.1, 0.5], [0.3]),
+    ])
+    def test_rejects_out_of_range(self, xs, ys):
+        with pytest.raises(ValueError):
+            CircleConfiguration(1.0, 0.01, np.array(xs), np.array(ys))
 
 
 class TestSampling:
@@ -135,6 +163,24 @@ class TestVacantSet:
     def test_is_covered_iff_no_vacant_piece(self, case):
         _, cfg = case
         assert is_covered(cfg) == vacant_set(cfg).is_empty
+
+    @given(st.one_of(seam_configs(), lattice_configs().map(lambda case: case[1])))
+    @example(config([]))
+    @example(config([(0.25, 0.75)]))  # x + y == 1.0: ends on the seam
+    @example(config([(0.25, 0.75), (0.0, 0.25)]))  # x + y == 1.0 and an arc from the seam
+    @example(config([(0.6, 0.4), (0.1, 0.95)]))  # x + y == 1.0 beside a seam arc
+    @example(config([(_SEAM_X, 0.5)]))  # x + 1.0 rounds to 2.0
+    @example(config([(_SEAM_X, 2.0**-53), (0.0, 0.5)]))  # x + y == 1.0 with x + 1.0 == 2.0
+    @example(config([(0.0, 0.5), (0.5, 0.5)]))  # touching arcs, both seam ends
+    @example(config([(0.2, 0.3), (0.5, 0.1), (0.6, 0.3)]))  # a chain of touching arcs
+    @example(config([(0.5, 0.1), (0.5, 0.3), (0.5, 0.2)]))  # repeated starts
+    @example(config([(0.5, 2.0**-60), (0.5, 0.3), (0.5, 2.0**-60)]))  # repeated starts, empty in doubles
+    @example(config([(2.0**-60, 2.0**-60), (0.0, 0.3)]))  # different x, same x + 1.0
+    @settings(max_examples=400, deadline=None)
+    def test_bounds_match_doubled_window_reference(self, cfg):
+        lo, hi = _vacant_bounds(cfg)
+        want_lo, want_hi = vacant_bounds_reference(cfg)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
     def test_pieces_sorted_disjoint(self):
         v = vacant_set(config([(0.1, 0.2), (0.6, 0.15)]))

@@ -71,6 +71,19 @@ class TestEval:
         with pytest.raises(ValueError):
             parse_tail("slowlog").value(0)
 
+    @pytest.mark.parametrize("tail", FAMILIES, ids=lambda t: t.spec_string)
+    def test_rejects_non_integral_radius(self, tail):
+        # the int64 cast truncated these: pow:-0.5 gave f(2) for 2.5 and
+        # f(2), f(3) for [2.5, 3.9]
+        with pytest.raises(ValueError, match="integer"):
+            tail.value(2.5)
+        with pytest.raises(ValueError, match="integer"):
+            tail.values(np.array([2.5, 3.9]))
+        with pytest.raises(ValueError, match="integer"):
+            tail.values(np.array([2.0, math.nan]))
+        assert tail.value(3.0) == tail.value(3)
+        assert tail.values(np.array([2.0, 3.0])).tolist() == tail.values(np.array([2, 3])).tolist()
+
     @pytest.mark.parametrize("family, param", [
         ("logpow", math.nan), ("logpow", math.inf), ("const", math.inf),
         ("geom", math.nan), ("pow", -math.inf), ("slowlog", math.nan),
