@@ -108,13 +108,12 @@ def _vacant_bounds(config: CircleConfiguration) -> tuple[np.ndarray, np.ndarray]
     """
     if np.any(config.ys > 1.0):
         return np.empty(0), np.empty(0)
-    s = config.xs + 1.0
-    # stable: an arc with (x + y) + 1.0 == x + 1.0 opens a group only when it comes first among equal starts
-    order = np.argsort(s, kind="stable")
-    ends = (config.xs + config.ys)[order]
+    order = np.argsort(config.xs)
+    xs = config.xs[order]
+    s, ends = xs + 1.0, xs + config.ys[order]
     seam = ends > 1.0
-    gs, ge = _merge_open(np.concatenate([config.xs[order][seam], s[order]]),
-                         np.concatenate([ends[seam], ends + 1.0]))
+    live = ends + 1.0 > s  # a shifted arc empty in doubles covers nothing, but would split a gap
+    gs, ge = _merge_open(np.concatenate([xs[seam], s[live]]), np.concatenate([ends[seam], ends[live] + 1.0]))
     lo = np.concatenate([[1.0], ge])
     hi = np.concatenate([gs, [2.0]])
     keep = (lo <= hi) & (lo < 2.0)
@@ -125,7 +124,7 @@ def vacant_set(config: CircleConfiguration) -> VacantIntervals:
     """Exact complement of the union of open projected arcs."""
     lo, hi = _vacant_bounds(config)
     pieces = tuple((a - 1.0, b - 1.0) for a, b in zip(lo, hi))
-    wraps = len(pieces) >= 2 and pieces[0][0] == 0.0 and pieces[-1][1] == 1.0
+    wraps = bool(len(pieces) >= 2 and pieces[0][0] == 0.0 and pieces[-1][1] == 1.0)
     return VacantIntervals(pieces=pieces, wraps=wraps)
 
 

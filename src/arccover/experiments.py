@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, asdict
 from multiprocessing import Pool
@@ -57,6 +58,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}")
+        if not all(isinstance(v, numbers.Integral) for v in (self.replicates, *self.n_list)):
+            raise ValueError(f"n and replicates must be integers, got n {self.n_list}, replicates {self.replicates}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if not self.n_list:
@@ -82,6 +85,9 @@ class ExperimentConfig:
             raise ValueError("dimension phase needs alpha in (0,1)")
         if self.phase == "dimension" and self.n_list[0] < 2:
             raise ValueError(f"dimension phase needs n >= 2 (its exponent divides by ln n), got {self.n_list[0]}")
+        labels = [label for label, _ in _groups(self)]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"alpha_list {self.alpha_list} repeats a group label: {labels}")
 
 
 def scale_sample(phase: str, tail: TailFunction, n: int, result: CoverResult) -> float:
@@ -99,39 +105,35 @@ def scale_sample(phase: str, tail: TailFunction, n: int, result: CoverResult) ->
 
 
 # -- replicate tasks (module level so they pickle for worker pools) ----------
+# Each takes (phase, group argument, n, seed) and returns the three measured
+# columns of its CSV row: tau, T, scaled.
 
 
 def _cover_task(args) -> tuple:
-    phase, tail_spec, n, rep, base_seed = args
+    phase, tail_spec, n, seed = args
     tail = parse_tail(tail_spec)
-    seed = derive_seed(base_seed, n, rep)
     res = run_to_cover(tail, n, seed)
-    return (phase, tail_spec, n, rep, seed, res.tau, res.T, scale_sample(phase, tail, n, res))
+    return res.tau, res.T, scale_sample(phase, tail, n, res)
 
 
 def _pi_task(args) -> tuple:
-    phase, alpha, n, rep, base_seed = args
-    seed = derive_seed(base_seed, n, rep)
+    _phase, alpha, n, seed = args
     config = sample_truncated(alpha, 1.0 / n, seed)
     vac = vacant_set(config)
-    covered = 1.0 if vac.is_empty else 0.0
-    return (phase, f"alpha={alpha:g}", n, rep, seed, config.count, vac.total_length, covered)
+    return config.count, vac.total_length, 1.0 if vac.is_empty else 0.0
 
 
 def _dimension_task(args) -> tuple:
-    phase, alpha, n, rep, base_seed = args
-    seed = derive_seed(base_seed, n, rep)
+    _phase, alpha, n, seed = args
     config = sample_truncated(alpha, 1.0 / n, seed)
     z = count_missing_lattice(config, n)
-    scaled = math.log(z) / math.log(n) if z > 0 else float("nan")
-    return (phase, f"alpha={alpha:g}", n, rep, seed, z, float(config.count), scaled)
+    return z, float(config.count), math.log(z) / math.log(n) if z > 0 else float("nan")
 
 
 def _calibration_task(args) -> tuple:
-    phase, _tail, K, rep, base_seed = args
-    seed = derive_seed(base_seed, K, rep)
+    _phase, _tail, K, seed = args
     t = coupon_collector_sample(K, 1.0, seed)
-    return (phase, "coupon", K, rep, seed, K, t, (1.0 / K) * t - math.log(K))
+    return K, t, (1.0 / K) * t - math.log(K)
 
 
 _TASKS = {
@@ -153,16 +155,12 @@ _GRIDS = {
 _REFERENCE = {"gumbel": gumbel_cdf, "calibration": gumbel_cdf, "exponential": exp_cdf}
 
 
-def _task_list(config: ExperimentConfig):
-    # the circle phases run one group per alpha, every other phase one group
-    groups = config.alpha_list if config.phase in ("shepp_pi", "dimension") else (config.tail,)
-    return [(config.phase, group, n, rep, config.base_seed)
-            for group in groups for n in config.n_list for rep in range(config.replicates)]
-
-
-def _format_row(row) -> str:
-    phase, family, n, rep, seed, tau, t_val, scaled = row
-    return f"{phase},{family},{n},{rep},{seed},{tau:d},{t_val:.17g},{scaled:.17g}"
+def _groups(config: ExperimentConfig) -> list[tuple[str, object]]:
+    """(family label, task argument) of each group in output order: one group
+    per alpha in the circle phases, one group in every other phase."""
+    if config.phase in ("shepp_pi", "dimension"):
+        return [(f"alpha={alpha:g}", alpha) for alpha in config.alpha_list]
+    return [("coupon" if config.phase == "calibration" else config.tail, config.tail)]
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -171,21 +169,36 @@ def _quantiles(values: np.ndarray) -> dict:
     return {f"q{int(100 * q):02d}": float(v) for q, v in zip(qs, pts)}
 
 
-def _summarize_group(phase: str, scaled: np.ndarray) -> dict:
+def _summarize_group(config: ExperimentConfig, n: int, scaled: np.ndarray) -> dict:
+    if config.phase == "shepp_pi":
+        p = float(np.mean(scaled))
+        m = scaled.size
+        return {"count": m, "pi_hat": p, "halfwidth_95": 1.96 * math.sqrt(p * (1.0 - p) / m)}
+    if config.phase == "dimension":
+        accepted = scaled[~np.isnan(scaled)]
+        return {
+            "count": int(scaled.size),
+            "accepted": int(accepted.size),
+            "conditional_mean_exponent": float(np.mean(accepted)) if accepted.size else None,
+        }
     info: dict = {
         "count": int(scaled.size),
         "mean": float(np.mean(scaled)),
         "std": float(np.std(scaled, ddof=1)) if scaled.size > 1 else 0.0,
         "quantiles": _quantiles(scaled),
     }
-    grid = _GRIDS.get(phase)
+    grid = _GRIDS.get(config.phase)
     if grid is not None:
         emp = EmpiricalDistribution.from_samples(scaled)
         info["ecdf"] = {f"{g:g}": float(emp.ecdf(g)) for g in grid}
-        ref = _REFERENCE.get(phase)
+        ref = _REFERENCE.get(config.phase)
         if ref is not None:
             ks = ks_distance(emp, ref)
             info["ks"] = {"D": ks.D, "threshold_5pct": ks.threshold_5pct}
+    if config.phase == "preexp":
+        info["bounds"] = _preexp_bound_check(parse_tail(config.tail), scaled)
+    if config.phase == "compact":
+        info["tightness"] = _compact_diagnostics(parse_tail(config.tail), n)
     return info
 
 
@@ -222,48 +235,33 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.monotonic()
-    tasks = _task_list(config)
+    reps = config.replicates
+    seeds = {n: [derive_seed(config.base_seed, n, rep) for rep in range(reps)] for n in config.n_list}
+    blocks = [(label, arg, n) for label, arg in _groups(config) for n in config.n_list]
+    tasks = [(config.phase, arg, n, seed) for _, arg, n in blocks for seed in seeds[n]]
     fn = _TASKS[config.phase]
     workers = min(workers, len(tasks))  # no idle processes for a few tasks
     if workers <= 1:
-        rows = [fn(t) for t in tasks]
+        measured = [fn(t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))
         with Pool(processes=workers) as pool:
-            rows = pool.map(fn, tasks, chunksize=chunk)
+            measured = pool.map(fn, tasks, chunksize=chunk)
+
+    # the tasks run block by block, so block i is measured[i * reps:(i + 1) * reps]
+    lines = [CSV_HEADER]
+    summary: dict = {"phase": config.phase, "tail": config.tail, "base_seed": config.base_seed, "groups": {}}
+    for i, (label, _, n) in enumerate(blocks):
+        block = measured[i * reps:(i + 1) * reps]
+        lines += [f"{config.phase},{label},{n},{rep},{seed},{tau:d},{t_val:.17g},{s:.17g}"
+                  for rep, (seed, (tau, t_val, s)) in enumerate(zip(seeds[n], block))]
+        scaled = np.array([s for _, _, s in block], dtype=np.float64)
+        summary["groups"][f"{label}|n={n}"] = _summarize_group(config, n, scaled)
 
     out = Path(config.output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out.with_suffix(".csv")
-    csv_path.write_text(CSV_HEADER + "\n" + "\n".join(_format_row(r) for r in rows) + "\n")
-
-    summary: dict = {"phase": config.phase, "tail": config.tail, "base_seed": config.base_seed, "groups": {}}
-    for key in sorted({(r[1], r[2]) for r in rows}):
-        family, n = key
-        scaled = np.array([r[7] for r in rows if (r[1], r[2]) == key], dtype=np.float64)
-        if config.phase == "shepp_pi":
-            m = scaled.size
-            p = float(np.mean(scaled))
-            group = {
-                "count": int(m),
-                "pi_hat": p,
-                "halfwidth_95": 1.96 * math.sqrt(p * (1.0 - p) / m),
-            }
-        elif config.phase == "dimension":
-            accepted = scaled[~np.isnan(scaled)]
-            group = {
-                "count": int(scaled.size),
-                "accepted": int(accepted.size),
-                "conditional_mean_exponent": float(np.mean(accepted)) if accepted.size else None,
-            }
-        else:
-            group = _summarize_group(config.phase, scaled)
-            if config.phase == "preexp":
-                group["bounds"] = _preexp_bound_check(parse_tail(config.tail), scaled)
-            if config.phase == "compact":
-                group["tightness"] = _compact_diagnostics(parse_tail(config.tail), n)
-        summary["groups"][f"{family}|n={n}"] = group
-
+    csv_path.write_text("\n".join(lines) + "\n")
     summary_path = out.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 

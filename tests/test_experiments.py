@@ -117,6 +117,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(phase=phase, tail=tail, n_list=(n,))
 
+    @pytest.mark.parametrize("phase, alphas", [
+        ("shepp_pi", (0.3, 0.3)),
+        ("shepp_pi", (0.3, 0.30000000001)),
+        ("dimension", (0.5, 0.5)),
+    ])
+    def test_alpha_labels_unique(self, phase, alphas):
+        # seeds do not depend on alpha, so two groups under one label would be
+        # one sample counted twice in one summary group
+        with pytest.raises(ValueError, match="group label"):
+            ExperimentConfig(phase=phase, alpha_list=alphas, n_list=(100,))
+
+    @pytest.mark.parametrize("kw", [dict(n_list=(100.0,)), dict(n_list=(10, 100.0)), dict(replicates=2.0)])
+    def test_n_and_replicates_integral(self, kw):
+        with pytest.raises(ValueError, match="integers"):
+            ExperimentConfig(**{"phase": "gumbel", "tail": "const:1", "n_list": (100,), **kw})
+
     def test_presets_valid(self):
         for name in PRESETS:
             cfg = preset_config(name, output_path="/tmp/x")
@@ -366,6 +382,7 @@ class TestCLI:
         ("dimension", "--alpha", "0.5", "--n", "1"),
         ("cover", "--preset", "dimension", "--n", "1"),
         ("snapshot", "--tail", "const:1", "--n", "1", "--alpha", "0.5", "--replicates", "3"),
+        ("pi", "--alpha", "0.3", "--alpha", "0.3", "--n", "100", "--replicates", "50"),
     ])
     def test_bad_input_exits_2(self, args):
         res = self.run_cli(*args)

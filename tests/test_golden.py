@@ -1,9 +1,10 @@
 """Golden hashes of every preset at two replicates per n.
 
 The digest is the sha256 of a preset's CSV bytes, a NUL byte, and its summary
-bytes, at the default base seed. A refactor of the arc stream, the replicate
-tasks or the summaries must leave every digest unchanged; a digest changes only
-with a deliberate change of output, and then this table is updated with it.
+bytes, at the default base seed; it must hold at one worker and at two. A
+refactor of the arc stream, the replicate tasks or the summaries must leave
+every digest unchanged; a digest changes only with a deliberate change of
+output, and then this table is updated with it.
 The ``preexp`` digest changes when ``stats.preexp_bounds`` is mended (ROADMAP
 item 4(d)), because its lower bounds are written into the summary.
 
@@ -50,10 +51,12 @@ def test_golden_covers_every_preset():
     assert sorted(GOLDEN) == sorted(PRESETS)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_preset_digest(name, tmp_path):
+# a serial case keeps the preset's name as its id
+@pytest.mark.parametrize("name, workers", [pytest.param(name, 1, id=name) for name in sorted(GOLDEN)]
+                         + [pytest.param(name, 2, id=f"{name}-workers2") for name in sorted(GOLDEN)])
+def test_preset_digest(name, workers, tmp_path):
     config = preset_config(name, output_path=str(tmp_path / name))
-    paths, _ = run_experiment(dataclasses.replace(config, replicates=REPLICATES))
+    paths, _ = run_experiment(dataclasses.replace(config, replicates=REPLICATES), workers=workers)
     digest = hashlib.sha256(paths["csv"].read_bytes() + b"\0" + paths["summary"].read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
 
