@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import platform
 import time
 from dataclasses import dataclass, asdict
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +106,7 @@ def scale_sample(phase: str, tail: TailFunction, n: int, result: CoverResult) ->
     raise ValueError(f"phase {phase!r} has no cover-time scaling")
 
 
-# -- replicate tasks (module level so they pickle for worker pools) ----------
+# -- replicate tasks (module level so they pickle for worker processes) ------
 # Each takes (phase, group argument, n, seed) and returns the three measured
 # columns of its CSV row: tau, T, scaled.
 
@@ -226,6 +228,56 @@ def _compact_diagnostics(tail: TailFunction, n: int) -> dict:
     }
 
 
+def _send_share(conn, fn, share) -> None:
+    """Worker process body: send ``(None, results)``, or ``(exception, traceback text)`` if a task raised."""
+    with conn:
+        try:
+            message = (None, [fn(t) for t in share])
+        except Exception as exc:
+            import traceback  # only on failure: at the top it would add about 1 ms to every import of arccover
+
+            message = (exc, traceback.format_exc())
+        conn.send(message)
+
+
+def _map_shares(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]`` on ``workers`` processes, this one included.
+
+    Worker w in 1..workers-1 is a new process that computes ``tasks[w::workers]``
+    and sends its results over a one-way pipe; this process computes
+    ``tasks[0::workers]`` meanwhile. A task's exception is re-raised here, and a
+    worker that exits without sending raises RuntimeError. Every worker is
+    terminated and joined before this returns or raises.
+    """
+    children = []
+    try:
+        for w in range(1, workers):
+            receiver, sender = Pipe(duplex=False)
+            proc = Process(target=_send_share, args=(sender, fn, tasks[w::workers]), daemon=True)
+            children.append((proc, receiver))
+            with sender:  # once started, the worker holds the only write end, so its exit ends the pipe
+                proc.start()
+        measured = [None] * len(tasks)
+        measured[0::workers] = [fn(t) for t in tasks[0::workers]]
+        for w, (proc, receiver) in enumerate(children, start=1):
+            try:
+                exc, value = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"replicate worker {w} exited with code {proc.exitcode} "
+                                   "before sending its results") from None
+            if exc is not None:
+                raise exc from RuntimeError(f"in replicate worker {w}:\n{value}")
+            measured[w::workers] = value
+        return measured
+    finally:
+        for proc, receiver in children:
+            receiver.close()
+            if proc.pid is not None:  # started
+                proc.terminate()
+                proc.join()
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1):
     """Run all replicates, write <out>.csv / <out>.summary.json / <out>.manifest.json.
 
@@ -241,12 +293,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     tasks = [(config.phase, arg, n, seed) for _, arg, n in blocks for seed in seeds[n]]
     fn = _TASKS[config.phase]
     workers = min(workers, len(tasks))  # no idle processes for a few tasks
-    if workers <= 1:
-        measured = [fn(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with Pool(processes=workers) as pool:
-            measured = pool.map(fn, tasks, chunksize=chunk)
+    measured = [fn(t) for t in tasks] if workers <= 1 else _map_shares(fn, tasks, workers)
 
     # the tasks run block by block, so block i is measured[i * reps:(i + 1) * reps]
     lines = [CSV_HEADER]
@@ -271,6 +318,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
         "prng": PRNG_NAME,
         "wall_clock_seconds": time.monotonic() - t0,
         "per_n_replicates": {str(n): config.replicates for n in config.n_list},
+        "workers": workers,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     manifest_path = out.with_suffix(".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

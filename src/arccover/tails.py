@@ -74,8 +74,15 @@ class TailFunction:
         return None
 
     def _raw_logpow(self, rf: np.ndarray) -> np.ndarray:
-        # ln(r)^b / r for r >= 2; single expression shared by every code path
-        return np.log(rf) ** self.param / rf
+        # ln(r)^b / r for r >= 2, shared by every code path. The power is
+        # skipped at b = 0 and b = 1, where it gives exactly 1 and ln(r), so
+        # the bits are those of the power form
+        b = self.param
+        if b == 0.0:
+            return 1.0 / rf
+        if b == 1.0:
+            return np.log(rf) / rf
+        return np.log(rf) ** b / rf
 
     def _envelope_head(self) -> float:
         # running minimum of min(ln^b(r)/r, 1) up to the unimodal peak; for

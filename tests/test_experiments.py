@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import os
+import platform
 import subprocess
 import sys
 
@@ -139,6 +142,33 @@ class TestConfigValidation:
             assert cfg.base_seed == DEFAULT_BASE_SEED
 
 
+# the helpers a worker process runs are at module level, so they pickle under
+# every start method
+
+class _CountingProcess(multiprocessing.Process):
+    starts: list = []
+
+    def start(self):
+        self.starts.append(self)
+        super().start()
+
+
+def _fail_replicate_1(args):
+    # replicate 1 is worker 1's share at workers=2
+    if args[3] == derive_seed(99, 64, 1):
+        raise ArithmeticError("replicate 1")
+    return 1, 1.0, 1.0
+
+
+def _fail_at(task):
+    index, bad, how = task
+    if index == bad:
+        if how == "raise":
+            raise ValueError(f"task {index} failed")
+        os._exit(7)
+    return index * index
+
+
 class TestRunExperiment:
     @pytest.fixture()
     def small_config(self, tmp_path):
@@ -175,32 +205,33 @@ class TestRunExperiment:
             outputs.append((paths["csv"].read_bytes(), paths["summary"].read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_pool_sized_to_tasks(self, tmp_path, monkeypatch):
-        # a fake pool records its size and maps in this process, so no worker
-        # starts; 2 tasks get 2 processes, 1 task runs serially
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(experiments, "Pool", FakePool)
-        for replicates, want in ((2, [2]), (1, [])):
-            sizes.clear()
+    def test_processes_sized_to_tasks(self, tmp_path, monkeypatch):
+        # the caller computes one share itself, so 2 tasks start 1 process
+        # and 1 task runs serially, however many workers are asked for
+        starts = _CountingProcess.starts
+        monkeypatch.setattr(experiments, "Process", _CountingProcess)
+        for replicates, want in ((2, 1), (1, 0)):
+            starts.clear()
             cfg = ExperimentConfig(phase="gumbel", tail="const:1", n_list=(64,), replicates=replicates,
                                    base_seed=99, output_path=str(tmp_path / f"r{replicates}"))
             paths, _ = run_experiment(cfg, workers=64)
-            assert sizes == want
+            assert len(starts) == want
             assert len(paths["csv"].read_text().splitlines()) == 1 + replicates
+            assert json.loads(paths["manifest"].read_text())["workers"] == replicates
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_list, replicates", [((64,), 4), ((64,), 5), ((64, 128), 3), ((64,), 7)])
+    def test_uneven_shares_byte_identical(self, tmp_path, n_list, replicates):
+        # 4 to 7 tasks on 3 workers: the interleaved shares differ in length
+        # and cross group boundaries
+        outputs = []
+        for workers in (1, 3):
+            cfg = ExperimentConfig(phase="gumbel", tail="const:1", n_list=n_list, replicates=replicates,
+                                   base_seed=99, output_path=str(tmp_path / f"w{workers}"))
+            paths, _ = run_experiment(cfg, workers=workers)
+            outputs.append((paths["csv"].read_bytes(), paths["summary"].read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
 
     def test_manifest_fields(self, small_config):
         paths, _ = run_experiment(small_config)
@@ -209,6 +240,10 @@ class TestRunExperiment:
         assert manifest["config"]["base_seed"] == 99
         assert manifest["per_n_replicates"] == {"64": 25, "128": 25}
         assert manifest["wall_clock_seconds"] > 0
+        assert manifest["workers"] == 1
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
     def test_shepp_pi_phase(self, tmp_path):
         cfg = ExperimentConfig(phase="shepp_pi", alpha_list=(0.3,), n_list=(50,), replicates=40,
@@ -230,6 +265,39 @@ class TestRunExperiment:
                                base_seed=7, output_path=str(tmp_path / "cal"))
         _, summary = run_experiment(cfg)
         assert "ks" in summary["groups"]["coupon|n=500"]
+
+
+class TestMapShares:
+    """The process runner behind run_experiment at workers >= 2."""
+
+    def test_results_in_task_order(self):
+        tasks = [(i, -1, "raise") for i in range(7)]
+        assert experiments._map_shares(_fail_at, tasks, 3) == [i * i for i in range(7)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", [1, 2, 0])
+    def test_task_exception_reraised(self, bad):
+        # tasks 1 and 2 run in workers 1 and 2, task 0 in the caller while
+        # the workers still run
+        tasks = [(i, bad, "raise") for i in range(6)]
+        with pytest.raises(ValueError, match=f"^task {bad} failed$"):
+            experiments._map_shares(_fail_at, tasks, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_sending(self):
+        tasks = [(i, 1, "exit") for i in range(4)]
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            experiments._map_shares(_fail_at, tasks, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_run_experiment_reraises_worker_error(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(experiments._TASKS, "gumbel", _fail_replicate_1)
+        cfg = ExperimentConfig(phase="gumbel", tail="const:1", n_list=(64,), replicates=2,
+                               base_seed=99, output_path=str(tmp_path / "run"))
+        with pytest.raises(ArithmeticError, match="^replicate 1$"):
+            run_experiment(cfg, workers=2)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "run.csv").exists()
 
 
 class TestVacancyFrequency:

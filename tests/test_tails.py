@@ -59,6 +59,16 @@ class TestEval:
         envelope = np.minimum.accumulate(np.concatenate([[1.0], raw]))
         assert np.allclose(tail.values(np.arange(1, upto + 1)), envelope, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    def test_logpow_skipped_power_keeps_bits(self, b):
+        # values skips ln(r) ** b at b = 0 and 1; the power form is the reference
+        r = np.arange(1, 2**20 + 1)
+        rf = r.astype(np.float64)
+        with np.errstate(divide="ignore"):
+            raw = np.log(rf) ** b / rf
+        power_form = np.where(r == 1, 1.0, np.minimum(min(1.0, raw[1]), raw))
+        assert np.array_equal(parse_tail(f"logpow:{b:g}").values(r).view(np.int64), power_form.view(np.int64))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             parse_tail("geom:1.0")
