@@ -27,6 +27,13 @@ __all__ = [
 _FAMILIES = ("const", "geom", "logpow", "pow", "slowlog")
 
 
+def _as_count(x, name: str) -> int:
+    """x as an int >= 1, taking an integral float as its int; anything else is refused."""
+    if not (isinstance(x, numbers.Integral) or (isinstance(x, float) and x.is_integer())) or x < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class TailFunction:
     """One radius law, identified by family name and a single parameter.
@@ -123,28 +130,38 @@ class TailFunction:
     def sample_radii(self, u: np.ndarray, cap: int) -> np.ndarray:
         """Vectorized inverse transform clamped at cap: min(R, cap) for R = max{r >= 1 : f(r) >= u}.
 
-        For cap <= 2**17 the radius is a binary search of u in the table
-        f(1..cap), built once per (tail, cap) from ``values`` and cached:
-        exact, and for geom and logpow 1.3x to 4x cheaper than the guess.
-        The cap bounds a table at 1 MB; above it, a closed-form guess is
-        corrected step by step against ``values``, which at cap 1e6 was
-        about 2x faster than the search for pow:-0.5 and slowlog. The path is
-        chosen from cap alone; f is never evaluated to choose it.
+        ``cap`` is an integer >= 1 (an integral float is taken as its int).
+        For cap <= 2**17 the radius is read from the table f(1..cap), built
+        once per (tail, cap) from ``values`` and cached, by indexed search: a
+        guide over 2**16 equal bins of u answers every u in a bin that no f
+        value splits with one read, and the rest (0.02% of draws for
+        geom:0.5, 0.8% for logpow:0, 6% for slowlog at cap 1e5) are
+        binary-searched. This is exact, and at caps 1e4 to 2**17 it was
+        2.7x (pow:-0.5) to 20x (logpow:0) cheaper than the guess, so the
+        table serves every non-const family. The cap bounds a table at 1 MB;
+        above it, a closed-form guess is corrected step by step against
+        ``values``. The path is chosen from cap alone; f is never evaluated
+        to choose it.
         """
         u = np.asarray(u, dtype=np.float64)
+        cap = _as_count(cap, "cap")
         if u.size == 0:
             return np.empty(0, dtype=np.int64)
         if not (0.0 < u.min() and u.max() <= 1.0):
             raise ValueError("u must lie in (0,1]")
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
         fam = self.family
         if fam == "const":
             return np.full(u.shape, min(int(self.param), cap), dtype=np.int64)
         if cap <= _TABLE_CAP:
             # table[i] = -f(i + 1) ascends, so the count of entries <= -u is
-            # the count of r <= cap with f(r) >= u, which is min(R, cap)
-            return np.searchsorted(_neg_tail_table(self, cap), -u, side="right")
+            # the count of r <= cap with f(r) >= u, which is min(R, cap).
+            # u * 2**16 is exact, so its floor is u's bin
+            table, guide = _neg_tail_table(self, cap)
+            r = guide[(u * _GUIDE_BINS).astype(np.intp)]
+            split = np.flatnonzero(r < 0)
+            if split.size:
+                r[split] = np.searchsorted(table, -u[split], side="right")
+            return r
         capf = float(cap)
         with np.errstate(divide="ignore", over="ignore"):
             if fam == "geom":
@@ -200,15 +217,33 @@ def parse_tail(spec: str) -> TailFunction:
 
 # largest cap sample_radii searches a table for: 1 MB of float64
 _TABLE_CAP = 2**17
+# bins of the indexed-search guide; a power of two, so u * _GUIDE_BINS and
+# every bin edge b / _GUIDE_BINS are exact
+_GUIDE_BINS = 2**16
 
 
 @lru_cache(maxsize=16)
-def _neg_tail_table(tail: TailFunction, cap: int) -> np.ndarray:
-    """Read-only -f(1..cap) with its zero suffix dropped (f never rises, so zeros come last)."""
+def _neg_tail_table(tail: TailFunction, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (table, guide) for ``sample_radii``'s indexed search (Chen & Asau 1974).
+
+    table is -f(1..cap) with its zero suffix dropped (f never rises, so zeros
+    come last). With c(u) = #{f >= u}, the int64 guide's entry b, for b in
+    [0, 2**16], is c(u) when that count is the same for every u in
+    [b/2**16, (b+1)/2**16), and -1 otherwise. The count there is constant iff
+    no f lies in the bin, that is iff c(b/2**16) == c((b+1)/2**16); the last
+    bin holds only u = 1.
+    """
     values = tail.values(np.arange(1, cap + 1, dtype=np.int64))
     table = -values[: np.count_nonzero(values)]
+    del values
+    edges = np.arange(_GUIDE_BINS + 1, dtype=np.float64)
+    edges *= -1.0 / _GUIDE_BINS  # in place: the guide's one bin-sized temporary
+    guide = np.searchsorted(table, edges, side="right").astype(np.int64, copy=False)
+    del edges
+    guide[:-1][guide[:-1] != guide[1:]] = -1
     table.flags.writeable = False
-    return table
+    guide.flags.writeable = False
+    return table, guide
 
 
 # -- prefix sums ------------------------------------------------------------
@@ -257,9 +292,7 @@ def tail_prefix_total(tail: TailFunction, n: int) -> float:
     chunk sums. The bits equal fsum of chunk fsums, which B and the
     ``compact`` summary depend on.
     """
-    if not (isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _as_count(n, "n")
     if tail.family == "const":
         return float(min(n, int(tail.param)))
     if tail.family == "geom":

@@ -88,26 +88,31 @@ class _CoverSweep:
         if len(starts):
             np.maximum.at(self._L, starts, lengths.astype(np.int32, copy=False))
 
-    def finish(self, clear=None):
-        """Mask of covered sites from the accumulated table; ``clear`` lists starts to reset."""
+    def finish(self):
+        """Mask of covered sites from the accumulated table."""
         reach = self._reach
         np.add(self._base, self._L, out=reach)
         np.maximum.accumulate(reach, out=reach)
         np.maximum(reach, reach[-1] - self.n, out=reach)
-        if clear is not None and len(clear):
-            self._L[clear] = 0
         return reach > self._base
 
     def covered(self, starts, lengths):
-        """Mask of the sites covered by these arcs alone (starts in [0, n), lengths <= n)."""
+        """Mask of the sites covered by these arcs alone (starts in [0, n), lengths <= n); leaves the table clear."""
         self.accumulate(starts, lengths)
-        return self.finish(clear=starts)
+        mask = self.finish()
+        # a memset: run_to_cover sweeps only batches of more than n / 8
+        # arcs, where it costs less than scattering zeros over the starts,
+        # and it never costs more than finish's own O(n) passes
+        self._L.fill(0)
+        return mask
 
 
 def covered_mask(n: int, starts: np.ndarray, lengths: np.ndarray):
     """One-shot coverage of the union of arcs {start, ..., start+len-1} mod n, each start taken mod n."""
     lengths = np.minimum(np.asarray(lengths, dtype=np.int64), n)
-    return _CoverSweep(n).covered(np.asarray(starts, dtype=np.int64) % n, lengths)
+    sweep = _CoverSweep(n)
+    sweep.accumulate(np.asarray(starts, dtype=np.int64) % n, lengths)
+    return sweep.finish()
 
 
 def _default_batch(tail: TailFunction, n: int) -> int:
@@ -121,9 +126,13 @@ def _draw_arcs(rng, tail: TailFunction, n: int, m: int):
 
 
 def _first_cover(tail: TailFunction, n: int, seed: int, B: int, place) -> CoverResult:
-    """Draw batches of B arcs from ``_draw_arcs``, then B exponentials, until ``place`` reports cover.
+    """Draw batches of B arcs from ``_draw_arcs``, each followed by one exponential per arc placed, until cover.
 
-    ``place(starts, radii)`` returns None while a site stays vacant, else the k >= 1 arcs of the batch that cover.
+    ``place(starts, radii)`` returns None while a site stays vacant, else the
+    k >= 1 arcs of the batch that cover. A batch that leaves a site vacant is
+    followed by B exponentials, the covering batch by k, and nothing is drawn
+    after it. PCG64's ``standard_exponential`` draws one value at a time, so
+    the k are the first k of the B a full draw would give.
     """
     rng = generator(seed)
     arcs_before = 0
@@ -131,16 +140,15 @@ def _first_cover(tail: TailFunction, n: int, seed: int, B: int, place) -> CoverR
     max_r = 0
     while True:
         u, r = _draw_arcs(rng, tail, n, B)
-        eta = rng.standard_exponential(B)
         k = place(u, r)
         if k is not None:
-            T = math.fsum(eta_parts + [float(np.sum(eta[:k]))])
+            T = math.fsum(eta_parts + [float(np.sum(rng.standard_exponential(k)))])
             max_r = max(max_r, int(r[:k].max()))
             return CoverResult(n=n, tau=arcs_before + k, T=T, max_radius=max_r, seed=seed)
         arcs_before += B
-        eta_parts.append(float(np.sum(eta)))
         max_r = max(max_r, int(r.max()))
-        del u, r  # before the next draw, starts first, as in _covered_at
+        del u, r  # before the exponentials, starts first, as in _covered_at
+        eta_parts.append(float(np.sum(rng.standard_exponential(B))))
         if arcs_before > ARC_HARD_CAP:
             raise RuntimeError(f"no cover after {arcs_before} arcs; configuration bug?")
 

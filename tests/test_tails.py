@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arccover.tails import (
     _CHUNK,
+    _GUIDE_BINS,
     TailFunction,
     _exact_sum,
     cf_estimate,
@@ -144,6 +145,37 @@ class TestSampling:
             got = tail.sample_radii(u, cap=cap)
             want = np.array([sample_radius_reference(tail, float(x), cap) for x in u])
             assert np.array_equal(got, want), cap
+
+    @pytest.mark.parametrize("tail", [t for t in FAMILIES if t.family != "const"], ids=lambda t: t.spec_string)
+    def test_guide_lookup_equals_binary_search(self, tail):
+        # the guide answers u from its bin of width 2**-16; every bin edge and
+        # both its float neighbours probe the bins' ends. geom:0.5's f is 0
+        # from r = 1076 on, so its table is shorter than every cap >= 1076
+        edges = np.arange(1, _GUIDE_BINS + 1) / _GUIDE_BINS
+        rng = np.random.default_rng(6180)
+        u = np.concatenate([1.0 - rng.random(10**5), edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges[:-1], 1.0), [1.0, 2.0**-53, 5e-324]])
+        for cap in (1, 7, 1000, 10**5, 2**17):
+            got = tail.sample_radii(u, cap=cap)
+            assert got.dtype == np.int64
+            table = -tail.values(np.arange(1, cap + 1))
+            assert np.array_equal(got, np.searchsorted(table, -u, side="right")), cap
+        if tail.spec_string == "geom:0.5":
+            assert np.count_nonzero(table) == 1075
+
+    @pytest.mark.parametrize("spec, cap", [("geom:0.5", 2.5), ("pow:-0.5", 2**40 + 0.5), ("const:3", 2.5),
+                                           ("logpow:1", math.nan), ("slowlog", "7"), ("geom:0.5", 0)])
+    def test_rejects_non_integral_cap(self, spec, cap):
+        # a cap of 2.5 once gave geom:0.5 radius 3 and const:3 radius 2
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            parse_tail(spec).sample_radii(np.array([0.2, 1.0]), cap=cap)
+
+    def test_takes_integral_float_cap_as_int(self):
+        u = np.array([0.01, 0.3, 1.0])
+        for spec in ("geom:0.5", "pow:-0.5", "const:3"):
+            tail = parse_tail(spec)
+            for cap in (7, 2**40):
+                assert np.array_equal(tail.sample_radii(u, cap=float(cap)), tail.sample_radii(u, cap=cap))
 
     @given(st.floats(min_value=1e-6, max_value=1.0, exclude_min=False))
     @settings(max_examples=60, deadline=None)

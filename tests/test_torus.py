@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arccover import torus
+from arccover.seeding import generator
 from arccover.tails import parse_tail
 from arccover.torus import (
     CoverResult,
@@ -243,6 +244,21 @@ class TestRunToCover:
             mp.setattr(torus, "SPARSE_SITES_PER_ARC", math.inf)
             sweep_only = run_to_cover(tail, n, seed)
             assert merge_only == sweep_only == run_to_cover_reference(tail, n, seed)
+
+    @pytest.mark.parametrize("seed", [0, 6, 2**64 - 1])
+    @pytest.mark.parametrize("B", [1, 1000, 262144])
+    def test_exponentials_of_covering_batch_are_a_prefix(self, seed, B):
+        # _first_cover draws only k exponentials after the batch that covers.
+        # T keeps its bits because, after the same starts and uniforms, a draw
+        # of k equals the first k of a draw of B
+        def after_arcs():
+            rng = generator(seed)
+            torus._draw_arcs(rng, parse_tail("logpow:0"), 1000, B)
+            return rng
+
+        full = after_arcs().standard_exponential(B)
+        for k in {1, B // 3 + 1, B - 1, B} - {0}:
+            assert np.array_equal(after_arcs().standard_exponential(k), full[:k]), k
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_final_batch_vacant_index_wrap(self, batch_size, monkeypatch):
