@@ -9,10 +9,14 @@ The interval merge ``_SparseCover`` holds sorted pieces, sorts each batch and
 merges it in, with O(arcs) work and no n-sized buffer; its union is
 ``_merge_open``, which the circle model shares. ``run_to_cover`` picks one of
 the two per run, before the first draw: the merge when a batch holds at most
-n / ``SPARSE_SITES_PER_ARC`` arcs, else the sweep. The sweep bisects the batch
-that covers for its shortest covering prefix; when earlier batches left V < n
-sites vacant, it bisects on the torus Z/VZ of those sites, with the arcs that
-reach none of them dropped, so each step costs O(V + arcs kept), not O(n + B).
+n / ``SPARSE_SITES_PER_ARC`` arcs, else the sweep. Both bisect the batch that
+covers for its shortest covering prefix, and both narrow the search once a
+prefix is known to leave sites vacant. The merge folds that prefix into its
+pieces, so later probes sort and merge only the arcs after it. The sweep
+moves to the torus Z/VZ of the V sites still vacant (left by earlier batches,
+or by the first probe of the first batch that fails), with the arcs that
+reach none of them dropped, so each later step costs O(V + arcs kept), not
+O(n + B).
 The arc-by-arc reference engines that tests compare both against live in
 ``tests/oracles.py``.
 """
@@ -95,6 +99,12 @@ class _CoverSweep:
         np.maximum.accumulate(reach, out=reach)
         np.maximum(reach, reach[-1] - self.n, out=reach)
         return reach > self._base
+
+    def view(self, m: int) -> "_CoverSweep":
+        """A sweep of Z/mZ, m <= n, on the first m entries of these buffers; valid while the table is clear."""
+        sub = object.__new__(type(self))
+        sub.n, sub._L, sub._reach, sub._base = m, self._L[:m], self._reach[:m], self._base[:m]
+        return sub
 
     def covered(self, starts, lengths):
         """Mask of the sites covered by these arcs alone (starts in [0, n), lengths <= n); leaves the table clear."""
@@ -179,47 +189,45 @@ def _shortest_prefix(covers, B: int) -> int:
 class _SparseCover:
     """Interval-merge first-cover search in O(arcs held) work, with no n-sized buffer.
 
-    The sites covered by earlier batches are held as sorted, merged,
+    The sites covered by earlier arcs are held as sorted, merged,
     non-wrapping pieces [start, end) of int64. Taken in order of start, a set
     of arcs covers the torus iff its largest end reaches n and each arc starts
     at or before the larger of the earlier arcs' largest end and the wrap term
-    (largest end - n); otherwise the site at that reach is vacant.
+    (largest end - n); otherwise the site at that reach is vacant. A batch, or
+    a prefix of the covering batch that a probe finds not to cover, is folded
+    into the pieces, so each probe of the bisection sorts and merges only the
+    arcs after the last such prefix: about 2B arcs over the whole search.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.starts = self.ends = np.empty(0, dtype=np.int64)
 
-    def place(self, u: np.ndarray, r: np.ndarray):
-        """``_first_cover``'s place: the batch joins the pieces unless some prefix covers."""
-        n = self.n
-        P, B = len(self.starts), len(u)
-        # the pieces are sorted already: sort the batch alone and merge it in.
-        # rank is each entry's batch index, -1 for a piece, so every prefix
-        # of the batch keeps the pieces
+    def _union(self, u: np.ndarray, e: np.ndarray):
+        """The pieces and the arcs [u, e), sorted by start, as (starts, ends); the pieces are sorted already."""
         order = np.argsort(u)
-        at = np.searchsorted(self.starts, u[order]) + np.arange(B)
-        rank = np.full(P + B, -1, dtype=np.int64)
-        rank[at] = order
-        piece = rank < 0
-        starts = np.empty(P + B, dtype=np.int64)
-        ends = np.empty(P + B, dtype=np.int64)
-        starts[at], ends[at] = u[order], (u + r)[order]
+        if not len(self.starts):
+            return u[order], e[order]
+        at = np.searchsorted(self.starts, u[order]) + np.arange(len(u))
+        piece = np.ones(len(self.starts) + len(u), dtype=bool)
+        piece[at] = False
+        starts = np.empty(piece.size, dtype=np.int64)
+        ends = np.empty(piece.size, dtype=np.int64)
+        starts[at], ends[at] = u[order], e[order]
         starts[piece], ends[piece] = self.starts, self.ends
+        return starts, ends
 
-        def covers(k):
-            kept = rank < k
-            reach = np.maximum.accumulate(np.where(kept, ends, 0))
-            wrap = int(reach[-1]) - n
-            if wrap < 0:
-                return False
-            # shift to the reach before each arc; dropped arcs count as starting at 0
-            reach[1:] = reach[:-1]
-            reach[0] = 0
-            return not (np.where(kept, starts, 0) > np.maximum(reach, wrap)).any()
+    def _covers(self, starts: np.ndarray, ends: np.ndarray) -> bool:
+        reach = np.maximum.accumulate(ends)
+        wrap = int(reach[-1]) - self.n
+        if wrap < 0:
+            return False
+        # each start against the reach before it, and the first against the wrap alone
+        return not (starts[0] > wrap or (starts[1:] > np.maximum(reach[:-1], wrap)).any())
 
-        if covers(B):
-            return _shortest_prefix(covers, B)
+    def _fold(self, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Hold the union (starts, ends) that leaves a site vacant as the new pieces."""
+        n = self.n
         wrap = int(ends.max()) - n
         if wrap > 0:
             starts = np.concatenate(([0], starts))
@@ -228,7 +236,26 @@ class _SparseCover:
         # touch overlap there and join, and a one-site gap keeps them apart
         starts, self.ends = _merge_open(starts - 1, np.minimum(ends, n))
         self.starts = starts + 1
-        return None
+
+    def place(self, u: np.ndarray, r: np.ndarray):
+        """``_first_cover``'s place: the batch joins the pieces unless some prefix covers."""
+        e = u + r
+        union = self._union(u, e)
+        if not self._covers(*union):
+            self._fold(*union)
+            return None
+        # the shortest covering prefix is in (lo, hi], and the arcs before lo
+        # are in the pieces
+        lo, hi = 0, len(u)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            union = self._union(u[lo:mid], e[lo:mid])
+            if self._covers(*union):
+                hi = mid
+            else:
+                self._fold(*union)
+                lo = mid
+        return hi
 
 
 def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
@@ -239,11 +266,14 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
     one standard exponential per placed arc. The engine is picked once, before
     the first draw: the interval merge when B <= n / SPARSE_SITES_PER_ARC, else
     the sweep; both give the same first cover. The sweep bisects the covering
-    batch for its shortest covering prefix. If earlier batches left V < n
-    sites vacant, each arc becomes the arc of the vacant sites it reaches, on
-    Z/VZ, and arcs that reach none are dropped; the shortest prefix of the
-    kept arcs that covers Z/VZ ends at the arc whose batch index gives tau.
-    When the first batch covers (V = n), the search runs on Z/nZ.
+    batch for its shortest covering prefix. Once the arcs before some index
+    lo are known to leave V sites vacant (earlier batches with lo = 0, or
+    the first failed probe of the first batch), each arc from lo on becomes
+    the arc of the vacant sites it reaches, on Z/VZ, and arcs that reach none
+    are dropped; the shortest prefix of the kept arcs that covers Z/VZ ends
+    at the arc whose batch index gives tau. Until then the search runs on
+    Z/nZ. Nothing is drawn differently, so tau and T do not depend on how
+    the search is narrowed.
     """
     _check_sweep_size(n)  # for both engines, until the merge is checked above the sweep's limit
     B = _default_batch(tail, n)
@@ -252,25 +282,41 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
     # allocated before the first draw, the sweep's buffers do not pin the heap
     # above the batch arrays
     sweep = _CoverSweep(n)
-    before = np.zeros(n, dtype=bool)
+    before = None  # the earlier batches' coverage
 
     def place(u, r):
-        # join the batch's mask to the earlier coverage and, on cover, bisect
-        # for the shortest prefix
         nonlocal before
-        cov = sweep.covered(u, r) | before
+        cov = sweep.covered(u, r)
+        if before is not None:
+            cov |= before
         if not cov.all():
             before = cov
             return None
-        # earlier batches left V sites vacant: search only among them
-        vacant = ~before
+        # the shortest covering prefix is in (lo, hi]. In the first batch,
+        # bisect on Z/nZ until a probe leaves sites vacant. Narrowing costs
+        # about two sweeps of Z/nZ, so it waits for a failed probe with more
+        # than 8 arcs (three probes) left; with fewer, Z/nZ finishes the search
+        lo, hi = 0, len(u)
+        vacant = None if before is None else ~before
+        while vacant is None and hi - lo > 1:
+            mid = (lo + hi) // 2
+            cov = sweep.covered(u[:mid], r[:mid])
+            if cov.all():
+                hi = mid
+            elif hi - mid > 8:
+                lo, vacant = mid, ~cov
+            else:
+                lo = mid
+        if vacant is None:
+            return hi
+        # the arcs after lo need only cover the V sites vacant before them:
+        # finish on Z/VZ, with the arcs that reach none dropped, on views of
+        # the sweep's buffers (the table is clear, and _base[:V] is arange(V))
         V = int(np.count_nonzero(vacant))
-        kept, search = None, sweep
-        if V < n:
-            kept, u, r = _vacant_arcs(vacant, V, u, r)
-            search = _CoverSweep(V)
-        k = _shortest_prefix(lambda j: bool(search.covered(u[:j], r[:j]).all()), len(u))
-        return k if kept is None else int(kept[k - 1]) + 1
+        kept, starts, lengths = _vacant_arcs(vacant, V, u[lo:hi], r[lo:hi])
+        search = sweep.view(V)
+        k = _shortest_prefix(lambda j: bool(search.covered(starts[:j], lengths[:j]).all()), len(kept))
+        return lo + int(kept[k - 1]) + 1
 
     return _first_cover(tail, n, seed, B, place)
 
@@ -284,8 +330,10 @@ def _vacant_arcs(vacant: np.ndarray, V: int, u: np.ndarray, r: np.ndarray):
     n = len(vacant)
     # count[x] = vacant sites in [0, x) of the doubled torus, x <= 2n, and
     # every arc ends at u + r <= 2n - 1
-    count = np.zeros(2 * n + 1, dtype=np.int32)
-    np.cumsum(np.tile(vacant, 2), dtype=np.int32, out=count[1:])
+    count = np.empty(2 * n + 1, dtype=np.int32)
+    count[0] = 0
+    np.cumsum(vacant, dtype=np.int32, out=count[1 : n + 1])
+    np.add(count[1 : n + 1], V, out=count[n + 1 :])
     lo = count[u]
     lengths = count[u + r] - lo
     kept = np.flatnonzero(lengths)

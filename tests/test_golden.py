@@ -14,9 +14,10 @@ The fixed-time torus outputs are pinned the same way: ``snapshot_vacant``
 
 ``run_to_cover`` is pinned over (tail, n, seed, batch size) with batch sizes 1
 and 64 next to the default, so the multi-batch path and the search of the
-covering batch, on Z/nZ when it is the first batch and on the torus of the
-still-vacant sites after that, are pinned at batch boundaries the preset
-digests never reach. The small batches come from a patched
+covering batch are pinned at batch boundaries the preset digests never reach.
+That search runs on Z/nZ in the first batch until a probe leaves sites
+vacant, and on the torus of the still-vacant sites after such a probe or
+after earlier batches; the merge folds each such probe into its pieces. The small batches come from a patched
 ``torus._default_batch`` (``oracles.batches_of``); each line hashed still
 names the batch size, None for the default.
 """

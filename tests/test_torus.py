@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arccover import torus
-from arccover.seeding import generator
+from arccover.seeding import derive_seed, generator
 from arccover.tails import parse_tail
 from arccover.torus import (
     CoverResult,
@@ -266,7 +266,7 @@ class TestRunToCover:
         # left vacant. These runs map an arc that starts after the last vacant
         # site to vacant index V mod V = 0, and an arc whose vacant range runs
         # past V - 1 back round to 0. With one arc per batch nothing is
-        # bisected, so only batches of 3 reach _CoverSweep(V) with them
+        # bisected, so only batches of 3 reach the sweep of Z/VZ with them
         seen = set()
         vacant_arcs = torus._vacant_arcs
 
@@ -284,6 +284,78 @@ class TestRunToCover:
             for seed in range(20):
                 assert run_to_cover(tail, 6, seed) == run_to_cover_reference(tail, 6, seed), seed
         assert seen == {"starts after the last vacant site", "wraps past V"}
+
+    @pytest.mark.parametrize("spec", ["logpow:0", "logpow:1"])
+    def test_first_batch_search_narrows(self, spec, monkeypatch):
+        # the first batch covers, and its first failed probe moves the search
+        # to the torus of the sites that probe left vacant: _vacant_arcs gets
+        # a mask of all n sites while only one batch is drawn
+        tail, n = parse_tail(spec), 20_000
+        draws, narrowed = [], []
+        draw_arcs, vacant_arcs = torus._draw_arcs, torus._vacant_arcs
+
+        def count_draws(*args):
+            draws.append(args)
+            return draw_arcs(*args)
+
+        def spy(vacant, V, u, r):
+            narrowed.append((len(draws), len(vacant), 0 < V < n))
+            return vacant_arcs(vacant, V, u, r)
+
+        monkeypatch.setattr(torus, "_draw_arcs", count_draws)
+        monkeypatch.setattr(torus, "_vacant_arcs", spy)
+        for seed in range(4):
+            want = run_to_cover_reference(tail, n, seed)
+            draws.clear()
+            narrowed.clear()
+            assert run_to_cover(tail, n, seed) == want, seed
+            assert narrowed == [(1, n, True)], seed
+
+    def test_merge_folds_failed_probe(self, monkeypatch):
+        # the merge folds a probe of the covering batch that leaves sites
+        # vacant into its pieces, in the middle of the batch
+        tail, n = parse_tail("pow:-0.5"), 100_000
+        assert torus._default_batch(tail, n) * torus.SPARSE_SITES_PER_ARC <= n
+        calls = []  # [folds, result] per place
+        place, fold = torus._SparseCover.place, torus._SparseCover._fold
+
+        def spy_place(self, u, r):
+            calls.append([0, None])
+            calls[-1][1] = place(self, u, r)
+            return calls[-1][1]
+
+        def spy_fold(self, starts, ends):
+            calls[-1][0] += 1
+            fold(self, starts, ends)
+
+        monkeypatch.setattr(torus._SparseCover, "place", spy_place)
+        monkeypatch.setattr(torus._SparseCover, "_fold", spy_fold)
+        for seed in range(4):
+            calls.clear()
+            assert run_to_cover(tail, n, seed) == run_to_cover_reference(tail, n, seed), seed
+            folds, k = calls[-1]
+            assert k > 1 and folds >= 1, seed
+
+    @pytest.mark.parametrize("spec", ["logpow:0", "logpow:1"])
+    def test_no_full_sweep_after_a_probe_leaves_sites_vacant(self, spec, monkeypatch):
+        # the cost of the narrowed search: once a probe of the covering batch
+        # leaves sites vacant, every later sweep runs on fewer than n sites
+        tail, n = parse_tail(spec), 10**5
+        sweeps = []  # (torus size, covered all) per sweep
+        covered = torus._CoverSweep.covered
+
+        def spy(self, starts, lengths):
+            mask = covered(self, starts, lengths)
+            sweeps.append((self.n, bool(mask.all())))
+            return mask
+
+        monkeypatch.setattr(torus._CoverSweep, "covered", spy)
+        for i in range(12):
+            sweeps.clear()
+            run_to_cover(tail, n, derive_seed(6, n, i))
+            assert sweeps[0] == (n, True), i  # the first batch covers
+            first_vacant = next(j for j, (_, full) in enumerate(sweeps) if not full)
+            assert all(size < n for size, _ in sweeps[first_vacant + 1 :]), (i, sweeps)
 
     @given(
         n=st.integers(min_value=1, max_value=40),
