@@ -175,15 +175,19 @@ def _merge_open(lo: np.ndarray, hi: np.ndarray):
 
 
 def _shortest_prefix(covers, B: int) -> int:
-    """Smallest k in [1, B] with covers(k), for covers monotone in k and covers(B) true."""
-    lo, hi = 1, B
-    while lo < hi:
+    """Smallest k in [1, B] with covers(lo, k), for covers monotone in k and the first B arcs covering.
+
+    covers(lo, k) asks whether the first k arcs cover, where the first lo are
+    known not to; lo only rises, so a probe that fails may fold its arcs in.
+    """
+    lo, hi = 0, B
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if covers(mid):
+        if covers(lo, mid):
             hi = mid
         else:
-            lo = mid + 1
-    return lo
+            lo = mid
+    return hi
 
 
 class _SparseCover:
@@ -240,22 +244,16 @@ class _SparseCover:
     def place(self, u: np.ndarray, r: np.ndarray):
         """``_first_cover``'s place: the batch joins the pieces unless some prefix covers."""
         e = u + r
-        union = self._union(u, e)
-        if not self._covers(*union):
-            self._fold(*union)
-            return None
-        # the shortest covering prefix is in (lo, hi], and the arcs before lo
-        # are in the pieces
-        lo, hi = 0, len(u)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            union = self._union(u[lo:mid], e[lo:mid])
+
+        def covers(lo, k):
+            # the arcs before lo are in the pieces; a prefix that fails joins them
+            union = self._union(u[lo:k], e[lo:k])
             if self._covers(*union):
-                hi = mid
-            else:
-                self._fold(*union)
-                lo = mid
-        return hi
+                return True
+            self._fold(*union)
+            return False
+
+        return _shortest_prefix(covers, len(u)) if covers(0, len(u)) else None
 
 
 def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
@@ -293,20 +291,15 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
             before = cov
             return None
         # the shortest covering prefix is in (lo, hi]. In the first batch,
-        # bisect on Z/nZ until a probe leaves sites vacant. Narrowing costs
-        # about two sweeps of Z/nZ, so it waits for a failed probe with more
-        # than 8 arcs (three probes) left; with fewer, Z/nZ finishes the search
+        # halve the prefix on Z/nZ until it leaves sites vacant
         lo, hi = 0, len(u)
         vacant = None if before is None else ~before
-        while vacant is None and hi - lo > 1:
-            mid = (lo + hi) // 2
-            cov = sweep.covered(u[:mid], r[:mid])
+        while vacant is None and hi > 1:
+            cov = sweep.covered(u[: hi // 2], r[: hi // 2])
             if cov.all():
-                hi = mid
-            elif hi - mid > 8:
-                lo, vacant = mid, ~cov
+                hi //= 2
             else:
-                lo = mid
+                lo, vacant = hi // 2, ~cov
         if vacant is None:
             return hi
         # the arcs after lo need only cover the V sites vacant before them:
@@ -315,7 +308,7 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
         V = int(np.count_nonzero(vacant))
         kept, starts, lengths = _vacant_arcs(vacant, V, u[lo:hi], r[lo:hi])
         search = sweep.view(V)
-        k = _shortest_prefix(lambda j: bool(search.covered(starts[:j], lengths[:j]).all()), len(kept))
+        k = _shortest_prefix(lambda _, j: bool(search.covered(starts[:j], lengths[:j]).all()), len(kept))
         return lo + int(kept[k - 1]) + 1
 
     return _first_cover(tail, n, seed, B, place)
@@ -328,14 +321,18 @@ def _vacant_arcs(vacant: np.ndarray, V: int, u: np.ndarray, r: np.ndarray):
     vacant site, each one's first vacant index mod V, and its vacant count.
     """
     n = len(vacant)
-    # count[x] = vacant sites in [0, x) of the doubled torus, x <= 2n, and
-    # every arc ends at u + r <= 2n - 1
-    count = np.empty(2 * n + 1, dtype=np.int32)
+    # count[x] = vacant sites in [0, x), x <= n. An arc ends at u + r <= 2n - 1;
+    # an end x > n counts V + count[x - n]. The end is folded back rather than
+    # the count doubled: a 2n + 1 count, held only here, raised the peak RSS
+    count = np.empty(n + 1, dtype=np.int32)
     count[0] = 0
-    np.cumsum(vacant, dtype=np.int32, out=count[1 : n + 1])
-    np.add(count[1 : n + 1], V, out=count[n + 1 :])
+    np.cumsum(vacant, dtype=np.int32, out=count[1:])
     lo = count[u]
-    lengths = count[u + r] - lo
+    end = u + r
+    wraps = end > n
+    end[wraps] -= n
+    lengths = count[end] - lo
+    lengths[wraps] += V
     kept = np.flatnonzero(lengths)
     # an arc past the last vacant site starts at vacant index V, that is 0
     return kept, lo[kept] % V, lengths[kept]

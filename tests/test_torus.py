@@ -198,6 +198,25 @@ class TestMergeOpen:
             assert ((s <= v) & (v < e)).any() == ((gs <= v) & (v < ge)).any(), v
 
 
+class TestShortestPrefix:
+    @given(B=st.integers(1, 300), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lo_is_the_last_failed_probe(self, B, data):
+        # the smallest covering prefix, where each probe's lo is 0 or the
+        # probe that failed last: the merge has folded the arcs before it
+        shortest = data.draw(st.integers(1, B))
+        failed = [0]
+
+        def covers(lo, k):
+            assert lo == failed[-1] < k <= B
+            if k >= shortest:
+                return True
+            failed.append(k)
+            return False
+
+        assert torus._shortest_prefix(covers, B) == shortest
+
+
 class TestRunToCover:
     def test_single_arc_covers(self):
         res = run_to_cover(parse_tail("const:3"), 3, seed=11)
