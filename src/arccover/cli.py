@@ -136,12 +136,10 @@ def _cmd_snapshot(args) -> int:
         t = args.time
     elif args.alpha:
         if mu is None:
-            print("alpha-scaled snapshot time needs a finite-mean family; pass --time", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError("alpha-scaled snapshot time needs a finite-mean family; pass --time")
         t = args.alpha[0] * n * math.log(n) / mu
     else:
-        print("need --time or --alpha", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("need --time or --alpha")
     sites = (0, n // 2)
     freq, joint = vacancy_frequency(tail, n, t, sites, args.replicates, args.seed)
     exact0 = vacancy_probability_exact(tail, n, t)

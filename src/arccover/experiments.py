@@ -245,9 +245,10 @@ def _map_shares(fn, tasks: list, workers: int) -> list:
 
     Worker w in 1..workers-1 is a new process that computes ``tasks[w::workers]``
     and sends its results over a one-way pipe; this process computes
-    ``tasks[0::workers]`` meanwhile. A task's exception is re-raised here, and a
-    worker that exits without sending raises RuntimeError. Every worker is
-    terminated and joined before this returns or raises.
+    ``tasks[0::workers]`` meanwhile, so one worker starts no process. A task's
+    exception is re-raised here, and a worker that exits without sending
+    raises RuntimeError. Every worker is terminated and joined before this
+    returns or raises.
     """
     children = []
     try:
@@ -293,7 +294,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     tasks = [(config.phase, arg, n, seed) for _, arg, n in blocks for seed in seeds[n]]
     fn = _TASKS[config.phase]
     workers = min(workers, len(tasks))  # no idle processes for a few tasks
-    measured = [fn(t) for t in tasks] if workers <= 1 else _map_shares(fn, tasks, workers)
+    measured = _map_shares(fn, tasks, workers)
 
     # the tasks run block by block, so block i is measured[i * reps:(i + 1) * reps]
     lines = [CSV_HEADER]

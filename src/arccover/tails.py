@@ -140,8 +140,9 @@ class TailFunction:
         2.7x (pow:-0.5) to 20x (logpow:0) cheaper than the guess, so the
         table serves every non-const family. The cap bounds a table at 1 MB;
         above it, a closed-form guess is corrected step by step against
-        ``values``. The path is chosen from cap alone; f is never evaluated
-        to choose it.
+        ``values``, and a draw that 64 steps leave unsettled (u where f is
+        subnormal) is bisected on [1, cap]. The path is chosen from cap
+        alone; f is never evaluated to choose it.
         """
         u = np.asarray(u, dtype=np.float64)
         cap = _as_count(cap, "cap")
@@ -189,7 +190,19 @@ class TailFunction:
                     continue
             break
         else:
-            raise RuntimeError("radius correction failed to converge")
+            # a guess more than 64 steps off (f subnormal near u): the draws
+            # not settled yet are bisected on [1, cap], keeping f(lo) >= u and
+            # hi = cap + 1 or f(hi) < u, as the scalar reference does
+            room = r < cap
+            off = self.values(r) < u
+            off[room] |= self.values(r[room] + 1) >= u[room]
+            i = np.flatnonzero(off)
+            lo, hi = np.ones(i.size, dtype=np.int64), np.full(i.size, cap + 1, dtype=np.int64)
+            while (hi - lo > 1).any():
+                mid = (lo + hi) // 2
+                ok = self.values(mid) >= u[i]
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            r[i] = lo
         return np.maximum(r, 1)
 
     def _logpow_guess(self, u: np.ndarray) -> np.ndarray:

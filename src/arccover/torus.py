@@ -9,14 +9,14 @@ The interval merge ``_SparseCover`` holds sorted pieces, sorts each batch and
 merges it in, with O(arcs) work and no n-sized buffer; its union is
 ``_merge_open``, which the circle model shares. ``run_to_cover`` picks one of
 the two per run, before the first draw: the merge when a batch holds at most
-n / ``SPARSE_SITES_PER_ARC`` arcs, else the sweep. Both bisect the batch that
-covers for its shortest covering prefix, and both narrow the search once a
-prefix is known to leave sites vacant. The merge folds that prefix into its
-pieces, so later probes sort and merge only the arcs after it. The sweep
-moves to the torus Z/VZ of the V sites still vacant (left by earlier batches,
-or by the first probe of the first batch that fails), with the arcs that
-reach none of them dropped, so each later step costs O(V + arcs kept), not
-O(n + B).
+n / ``SPARSE_SITES_PER_ARC`` arcs, else the sweep. The merge alone searches
+for the shortest covering prefix of the batch that covers, and folds each
+prefix a probe finds not to cover into its pieces, so later probes sort and
+merge only the arcs after it. The sweep checks whole batches on Z/nZ and
+halves the covering one until a probe leaves sites vacant; then the arcs
+after that prefix (or the whole batch, after earlier batches) are mapped
+onto the torus Z/VZ of the V sites still vacant, the arcs that reach none of
+them dropped, and a merge of Z/VZ finishes the search in O(arcs kept) work.
 The arc-by-arc reference engines that tests compare both against live in
 ``tests/oracles.py``.
 """
@@ -72,7 +72,7 @@ def _check_sweep_size(n: int) -> None:
 
 
 class _CoverSweep:
-    """Reusable n-sized buffers for the one-pass prefix-max coverage sweep.
+    """Reusable n-sized buffers for the one-pass prefix-max coverage sweep of Z/nZ.
 
     For arcs {p, ..., p+L[p]-1} mod n with L[p] <= n, site v is covered iff
     max over p <= v of p + L[p] exceeds v, or max over all p of p + L[p] - n
@@ -99,12 +99,6 @@ class _CoverSweep:
         np.maximum.accumulate(reach, out=reach)
         np.maximum(reach, reach[-1] - self.n, out=reach)
         return reach > self._base
-
-    def view(self, m: int) -> "_CoverSweep":
-        """A sweep of Z/mZ, m <= n, on the first m entries of these buffers; valid while the table is clear."""
-        sub = object.__new__(type(self))
-        sub.n, sub._L, sub._reach, sub._base = m, self._L[:m], self._reach[:m], self._base[:m]
-        return sub
 
     def covered(self, starts, lengths):
         """Mask of the sites covered by these arcs alone (starts in [0, n), lengths <= n); leaves the table clear."""
@@ -193,8 +187,12 @@ def _shortest_prefix(covers, B: int) -> int:
 class _SparseCover:
     """Interval-merge first-cover search in O(arcs held) work, with no n-sized buffer.
 
+    The one shortest-covering-prefix search: ``run_to_cover`` uses it on
+    Z/nZ for sparse batches, and the sweep hands it the arcs it maps onto
+    Z/VZ once V sites are known to stay vacant.
+
     The sites covered by earlier arcs are held as sorted, merged,
-    non-wrapping pieces [start, end) of int64. Taken in order of start, a set
+    non-wrapping integer pieces [start, end). Taken in order of start, a set
     of arcs covers the torus iff its largest end reaches n and each arc starts
     at or before the larger of the earlier arcs' largest end and the wrap term
     (largest end - n); otherwise the site at that reach is vacant. A batch, or
@@ -263,15 +261,14 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
     batches of B(tail, n); radii are clamped to n at placement. T is the sum of
     one standard exponential per placed arc. The engine is picked once, before
     the first draw: the interval merge when B <= n / SPARSE_SITES_PER_ARC, else
-    the sweep; both give the same first cover. The sweep bisects the covering
-    batch for its shortest covering prefix. Once the arcs before some index
-    lo are known to leave V sites vacant (earlier batches with lo = 0, or
-    the first failed probe of the first batch), each arc from lo on becomes
-    the arc of the vacant sites it reaches, on Z/VZ, and arcs that reach none
-    are dropped; the shortest prefix of the kept arcs that covers Z/VZ ends
-    at the arc whose batch index gives tau. Until then the search runs on
-    Z/nZ. Nothing is drawn differently, so tau and T do not depend on how
-    the search is narrowed.
+    the sweep; both give the same first cover. The sweep halves the covering
+    batch on Z/nZ until the arcs before some index lo are known to leave V
+    sites vacant (earlier batches with lo = 0, or the first failed probe of
+    the first batch). Each arc from lo on then becomes the arc of the vacant
+    sites it reaches, on Z/VZ, and arcs that reach none are dropped; the
+    merge's shortest prefix of the kept arcs that covers Z/VZ ends at the arc
+    whose batch index gives tau. Nothing is drawn differently, so tau and T
+    do not depend on how the search is narrowed.
     """
     _check_sweep_size(n)  # for both engines, until the merge is checked above the sweep's limit
     B = _default_batch(tail, n)
@@ -303,13 +300,10 @@ def run_to_cover(tail: TailFunction, n: int, seed: int) -> CoverResult:
         if vacant is None:
             return hi
         # the arcs after lo need only cover the V sites vacant before them:
-        # finish on Z/VZ, with the arcs that reach none dropped, on views of
-        # the sweep's buffers (the table is clear, and _base[:V] is arange(V))
+        # the merge finishes on Z/VZ, with the arcs that reach none dropped
         V = int(np.count_nonzero(vacant))
         kept, starts, lengths = _vacant_arcs(vacant, V, u[lo:hi], r[lo:hi])
-        search = sweep.view(V)
-        k = _shortest_prefix(lambda _, j: bool(search.covered(starts[:j], lengths[:j]).all()), len(kept))
-        return lo + int(kept[k - 1]) + 1
+        return lo + int(kept[_SparseCover(V).place(starts, lengths) - 1]) + 1
 
     return _first_cover(tail, n, seed, B, place)
 

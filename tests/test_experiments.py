@@ -451,6 +451,8 @@ class TestCLI:
         ("cover", "--preset", "dimension", "--n", "1"),
         ("snapshot", "--tail", "const:1", "--n", "1", "--alpha", "0.5", "--replicates", "3"),
         ("pi", "--alpha", "0.3", "--alpha", "0.3", "--n", "100", "--replicates", "50"),
+        ("snapshot", "--tail", "const:1", "--n", "100", "--replicates", "3"),
+        ("snapshot", "--tail", "slowlog", "--n", "100", "--alpha", "0.5", "--replicates", "3"),
     ])
     def test_bad_input_exits_2(self, args):
         res = self.run_cli(*args)

@@ -6,7 +6,7 @@ refactor of the arc stream, the replicate tasks or the summaries must leave
 every digest unchanged; a digest changes only with a deliberate change of
 output, and then this table is updated with it.
 The ``preexp`` digest changes when ``stats.preexp_bounds`` is mended (ROADMAP
-item 4(d)), because its lower bounds are written into the summary.
+item 3), because its lower bounds are written into the summary.
 
 The fixed-time torus outputs are pinned the same way: ``snapshot_vacant``
 (vacant count and indices) and ``site_vacancy`` (at sites spread over
@@ -15,9 +15,10 @@ The fixed-time torus outputs are pinned the same way: ``snapshot_vacant``
 ``run_to_cover`` is pinned over (tail, n, seed, batch size) with batch sizes 1
 and 64 next to the default, so the multi-batch path and the search of the
 covering batch are pinned at batch boundaries the preset digests never reach.
-That search runs on Z/nZ in the first batch until a probe leaves sites
-vacant, and on the torus of the still-vacant sites after such a probe or
-after earlier batches; the merge folds each such probe into its pieces. The small batches come from a patched
+The sweep halves that batch on Z/nZ until a probe leaves sites vacant; after
+such a probe, or after earlier batches, the merge searches the later arcs on
+the torus of the still-vacant sites. The merge folds each probe that leaves
+sites vacant into its pieces. The small batches come from a patched
 ``torus._default_batch`` (``oracles.batches_of``); each line hashed still
 names the batch size, None for the default.
 """

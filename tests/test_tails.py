@@ -146,6 +146,17 @@ class TestSampling:
             want = np.array([sample_radius_reference(tail, float(x), cap) for x in u])
             assert np.array_equal(got, want), cap
 
+    @pytest.mark.parametrize("cap", [10**6, 3 * 10**7, 715_827_882, 2**40])
+    def test_guess_far_off_where_f_is_subnormal(self, cap):
+        # geom:0.999's closed-form guess at u = 5e-324 is about 2,800 below the
+        # inverse, beyond the 64 correction steps; those draws are bisected
+        tail = parse_tail("geom:0.999")
+        u = np.array([5e-324, 4e-323, 1e-310, 0.5, 1.0])
+        want = [sample_radius_reference(tail, float(x), cap) for x in u]
+        assert tail.sample_radii(u, cap=cap).tolist() == want
+        if cap == 10**6:
+            assert want[:2] == [744761, 742054]
+
     @pytest.mark.parametrize("tail", [t for t in FAMILIES if t.family != "const"], ids=lambda t: t.spec_string)
     def test_guide_lookup_equals_binary_search(self, tail):
         # the guide answers u from its bin of width 2**-16; every bin edge and

@@ -285,7 +285,7 @@ class TestRunToCover:
         # left vacant. These runs map an arc that starts after the last vacant
         # site to vacant index V mod V = 0, and an arc whose vacant range runs
         # past V - 1 back round to 0. With one arc per batch nothing is
-        # bisected, so only batches of 3 reach the sweep of Z/VZ with them
+        # bisected, so only batches of 3 reach the merge of Z/VZ with them
         seen = set()
         vacant_arcs = torus._vacant_arcs
 
@@ -308,9 +308,10 @@ class TestRunToCover:
     def test_first_batch_search_narrows(self, spec, monkeypatch):
         # the first batch covers, and its first failed probe moves the search
         # to the torus of the sites that probe left vacant: _vacant_arcs gets
-        # a mask of all n sites while only one batch is drawn
+        # a mask of all n sites while only one batch is drawn, and one merge
+        # of those V sites finishes the search
         tail, n = parse_tail(spec), 20_000
-        draws, narrowed = [], []
+        draws, narrowed, merges = [], [], []
         draw_arcs, vacant_arcs = torus._draw_arcs, torus._vacant_arcs
 
         def count_draws(*args):
@@ -318,17 +319,25 @@ class TestRunToCover:
             return draw_arcs(*args)
 
         def spy(vacant, V, u, r):
-            narrowed.append((len(draws), len(vacant), 0 < V < n))
+            narrowed.append((len(draws), len(vacant), V))
             return vacant_arcs(vacant, V, u, r)
+
+        class CountingMerge(torus._SparseCover):
+            def __init__(self, m):
+                merges.append(m)
+                super().__init__(m)
 
         monkeypatch.setattr(torus, "_draw_arcs", count_draws)
         monkeypatch.setattr(torus, "_vacant_arcs", spy)
+        monkeypatch.setattr(torus, "_SparseCover", CountingMerge)
         for seed in range(4):
             want = run_to_cover_reference(tail, n, seed)
             draws.clear()
             narrowed.clear()
+            merges.clear()
             assert run_to_cover(tail, n, seed) == want, seed
-            assert narrowed == [(1, n, True)], seed
+            assert len(merges) == 1 and 0 < merges[0] < n, (seed, merges)
+            assert narrowed == [(1, n, merges[0])], seed
 
     def test_merge_folds_failed_probe(self, monkeypatch):
         # the merge folds a probe of the covering batch that leaves sites
@@ -358,7 +367,7 @@ class TestRunToCover:
     @pytest.mark.parametrize("spec", ["logpow:0", "logpow:1"])
     def test_no_full_sweep_after_a_probe_leaves_sites_vacant(self, spec, monkeypatch):
         # the cost of the narrowed search: once a probe of the covering batch
-        # leaves sites vacant, every later sweep runs on fewer than n sites
+        # leaves sites vacant, the merge finishes it and no sweep follows
         tail, n = parse_tail(spec), 10**5
         sweeps = []  # (torus size, covered all) per sweep
         covered = torus._CoverSweep.covered
@@ -374,7 +383,7 @@ class TestRunToCover:
             run_to_cover(tail, n, derive_seed(6, n, i))
             assert sweeps[0] == (n, True), i  # the first batch covers
             first_vacant = next(j for j, (_, full) in enumerate(sweeps) if not full)
-            assert all(size < n for size, _ in sweeps[first_vacant + 1 :]), (i, sweeps)
+            assert sweeps[first_vacant + 1 :] == [], (i, sweeps)
 
     @given(
         n=st.integers(min_value=1, max_value=40),
