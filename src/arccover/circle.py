@@ -54,7 +54,7 @@ class CircleConfiguration:
 
     def truncate(self, z_new: float) -> "CircleConfiguration":
         """Sub-configuration of arcs longer than z_new (requires z_new >= z)."""
-        if z_new < self.z:
+        if not z_new >= self.z:
             raise ValueError("can only truncate upward: z_new >= z")
         keep = self.ys > z_new
         return CircleConfiguration(self.alpha, z_new, self.xs[keep], self.ys[keep])
@@ -85,9 +85,9 @@ class VacantIntervals:
 
 def sample_truncated(alpha: float, z: float, seed: int) -> CircleConfiguration:
     """Poisson(alpha/z) arcs: x uniform, y = z/U so that P(y >= s) = z/s."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
-    if z <= 0:
+    if not z > 0:
         raise ValueError("truncation height must be positive")
     rng = generator(seed)
     count = int(rng.poisson(alpha / z)) if alpha > 0 else 0
@@ -208,7 +208,7 @@ def shepp_series(lengths, N: int):
         raise ValueError("N capped at 10**7")
     idx = np.arange(1, N + 1, dtype=np.float64)
     ell = np.asarray([lengths(i) for i in range(1, N + 1)], dtype=np.float64)
-    if np.any(ell < 0.0) or np.any(ell > 1.0):
+    if not np.all((ell >= 0.0) & (ell <= 1.0)):
         raise ValueError("arc lengths must lie in [0, 1]")
     if np.any(np.diff(ell) > 0.0):
         raise ValueError("arc lengths must be non-increasing")

@@ -94,7 +94,7 @@ def preexp_bounds(alpha: float, p: float) -> tuple[float, float]:
     upper uses the Karamata constant 1/(1+p); lower is the two-region
     inclusion-exclusion bound 1 - e^-a + e^-a (1 - e^{-a/2^(1+p)})^2.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     if not -1.0 < p < 0.0:
         raise ValueError("p must lie in (-1, 0)")

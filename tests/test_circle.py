@@ -94,6 +94,13 @@ class TestSampling:
             sd = math.sqrt(p * (1 - p) / m)
             assert abs(freq - p) <= 4 * sd
 
+    def test_rejects_nan(self):
+        # NaN fails every comparison; a NaN alpha once gave an empty configuration
+        with pytest.raises(ValueError, match="alpha"):
+            sample_truncated(math.nan, 0.01, seed=1)
+        with pytest.raises(ValueError, match="truncation height"):
+            sample_truncated(0.5, math.nan, seed=1)
+
     def test_deterministic(self):
         a = sample_truncated(1.0, 0.01, seed=99)
         b = sample_truncated(1.0, 0.01, seed=99)
@@ -269,6 +276,11 @@ class TestTruncationMonotonicity:
         with pytest.raises(ValueError):
             cfg.truncate(0.001)
 
+    def test_truncate_rejects_nan(self):
+        # once an empty configuration with z = NaN
+        with pytest.raises(ValueError, match="truncate upward"):
+            sample_truncated(0.5, 0.01, seed=2).truncate(math.nan)
+
 
 class TestProjections:
     def test_w_example(self):
@@ -346,6 +358,11 @@ class TestSheppSeries:
             shepp_series(lambda n: 1.5 / n if n > 1 else 1.5, 100)
         with pytest.raises(ValueError):
             shepp_series(lambda n: -0.1, 100)
+
+    def test_rejects_nan(self):
+        # once S_N = nan, classified inconclusive
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            shepp_series(lambda n: math.nan, 100)
 
     def test_constant_lengths_diverge(self):
         partial, cls = shepp_series(lambda n: 0.5, 100)

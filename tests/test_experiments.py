@@ -453,6 +453,7 @@ class TestCLI:
         ("pi", "--alpha", "0.3", "--alpha", "0.3", "--n", "100", "--replicates", "50"),
         ("snapshot", "--tail", "const:1", "--n", "100", "--replicates", "3"),
         ("snapshot", "--tail", "slowlog", "--n", "100", "--alpha", "0.5", "--replicates", "3"),
+        ("shepp-series", "--sequence", "c_over_n:nan"),
     ])
     def test_bad_input_exits_2(self, args):
         res = self.run_cli(*args)

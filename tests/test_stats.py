@@ -167,6 +167,11 @@ class TestPreexpBounds:
         with pytest.raises(ValueError):
             preexp_bounds(1.0, 0.5)
 
+    def test_rejects_nan_alpha(self):
+        # once (nan, nan)
+        with pytest.raises(ValueError, match="alpha"):
+            preexp_bounds(math.nan, -0.5)
+
 
 class TestOffspringLaw:
     def test_binomial_moments(self):

@@ -136,8 +136,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("tail", FAMILIES, ids=lambda t: t.spec_string)
     def test_vector_matches_scalar(self, tail):
-        # caps up to 2**17 search the table, larger ones guess and correct;
-        # 5e-324 is the least double, where geom:0.5's f(1075) lies
+        # caps up to 2**17 search the table, larger ones check a closed-form
+        # guess and bisect the misses; 5e-324 is the least double, where
+        # geom:0.5's f(1075) lies
         rng = np.random.default_rng(915)
         for cap in (1, 7, 1000, 10**5, 2**17, 2**17 + 1, 2**40):
             at_cap = [tail.value(r) for r in (cap - 1, cap, cap + 1) if r >= 1]
@@ -149,13 +150,24 @@ class TestSampling:
     @pytest.mark.parametrize("cap", [10**6, 3 * 10**7, 715_827_882, 2**40])
     def test_guess_far_off_where_f_is_subnormal(self, cap):
         # geom:0.999's closed-form guess at u = 5e-324 is about 2,800 below the
-        # inverse, beyond the 64 correction steps; those draws are bisected
+        # inverse; the check catches it and the draw is bisected
         tail = parse_tail("geom:0.999")
         u = np.array([5e-324, 4e-323, 1e-310, 0.5, 1.0])
         want = [sample_radius_reference(tail, float(x), cap) for x in u]
         assert tail.sample_radii(u, cap=cap).tolist() == want
         if cap == 10**6:
             assert want[:2] == [744761, 742054]
+
+    @pytest.mark.parametrize("spec", ["logpow:1", "logpow:2", "logpow:-0.5"])
+    def test_logpow_guess_off_by_one_is_settled(self, spec):
+        # past the table the logpow guess misses some draws by one; u = f(r)
+        # and its two float neighbours, on a geometric grid of r, probe them
+        tail, cap = parse_tail(spec), 10**6
+        r = np.unique(np.geomspace(2**17 + 1, cap, 100).astype(np.int64))
+        f = tail.values(r)
+        u = np.concatenate([f, np.nextafter(f, 0.0), np.nextafter(f, 1.0)])
+        want = [sample_radius_reference(tail, float(x), cap) for x in u]
+        assert tail.sample_radii(u, cap=cap).tolist() == want
 
     @pytest.mark.parametrize("tail", [t for t in FAMILIES if t.family != "const"], ids=lambda t: t.spec_string)
     def test_guide_lookup_equals_binary_search(self, tail):
