@@ -4,9 +4,11 @@ A configuration at intensity alpha and truncation z is a Poisson draw of
 (position, length) points with rate alpha dx dy/y^2 restricted to y > z.
 Each point projects to the OPEN arc (x, x+y) on the circle; points with y > 1
 cover everything. Interval arithmetic is exact under that open convention:
-abutting arcs leave their shared endpoint uncovered. On the lattice Z/nZ, site
-j is covered by (x, x + y) iff n·x < j < n·(x + y), taken mod n and exact on the
-stored doubles; each lattice boundary is one exact floor, ``_floor_n``.
+abutting arcs leave their shared endpoint uncovered. The vacant set and
+``is_covered`` come from the torus merge's open-arc cover rule at circle
+length 1 (``torus._window_gaps``). On the lattice Z/nZ, site j is covered by
+(x, x + y) iff n·x < j < n·(x + y), taken mod n and exact on the stored
+doubles; each lattice boundary is one exact floor, ``_floor_n``.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .seeding import generator
-from .torus import _merge_open, covered_mask
+from .torus import _window_gaps, covered_mask
 
 __all__ = [
     "CircleConfiguration",
@@ -99,25 +101,19 @@ def sample_truncated(alpha: float, z: float, seed: int) -> CircleConfiguration:
 
 
 def _vacant_bounds(config: CircleConfiguration) -> tuple[np.ndarray, np.ndarray]:
-    """Closed vacant pieces [lo[i], hi[i]], sorted and disjoint, in the window [1, 2].
+    """Closed vacant pieces [lo[i], hi[i]], sorted and disjoint, in the window [1, 2] of ``_window_gaps``.
 
-    A circle point q is covered iff q + 1 lies strictly inside a merged arc
-    (x + 1, (x + y) + 1), or inside (x, x + y) for an arc with x + y > 1; those
-    seam arcs all hold the point 1.0, so they merge into the first group. 2.0
-    stands for the same circle point as 1.0, so no gap starts there.
+    Circle point q is the window point q + 1. Each arc is read shifted, as
+    (x + 1, (x + y) + 1), and the arcs that cross the seam, which all hold
+    the point 1.0, as the seam piece (0, max(1, x + y)).
     """
     if np.any(config.ys > 1.0):
         return np.empty(0), np.empty(0)
     order = np.argsort(config.xs)
     xs = config.xs[order]
     s, ends = xs + 1.0, xs + config.ys[order]
-    seam = ends > 1.0
     live = ends + 1.0 > s  # a shifted arc empty in doubles covers nothing, but would split a gap
-    gs, ge = _merge_open(np.concatenate([xs[seam], s[live]]), np.concatenate([ends[seam], ends[live] + 1.0]))
-    lo = np.concatenate([[1.0], ge])
-    hi = np.concatenate([gs, [2.0]])
-    keep = (lo <= hi) & (lo < 2.0)
-    return lo[keep], hi[keep]
+    return _window_gaps(s[live], ends[live] + 1.0, 1.0, np.max(ends, initial=1.0))
 
 
 def vacant_set(config: CircleConfiguration) -> VacantIntervals:

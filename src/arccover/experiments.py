@@ -335,8 +335,7 @@ def vacancy_frequency(tail: TailFunction, n: int, t: float, sites, replicates: i
     """Monte Carlo frequency of each site (and all sites jointly) being vacant at time t."""
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be >= 1")
-    sites = np.asarray(sites, dtype=np.int64)
-    single = np.zeros(sites.size, dtype=np.int64)
+    single = np.zeros(np.size(sites), dtype=np.int64)
     joint = 0
     for rep in range(replicates):
         vac = site_vacancy(tail, n, t, derive_seed(base_seed, n, rep), sites)

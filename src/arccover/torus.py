@@ -6,23 +6,19 @@ only by ``_draw_arcs``. Coverage has two kernels. The one-pass prefix-max sweep
 ``_CoverSweep`` with a wrap term does O(n + arcs) vectorized work over n-sized
 buffers; every fixed-time coverage or vacancy question is read off its mask.
 The interval merge ``_SparseCover`` holds sorted pieces, sorts each batch and
-merges it in, with O(arcs) work and no n-sized buffer; its union is
-``_merge_open``, which the circle model shares. ``run_to_cover`` picks one of
-the two per run, before the first draw: the merge when a batch holds at most
-n / ``SPARSE_SITES_PER_ARC`` arcs, else the sweep. The merge alone searches
-for the shortest covering prefix of the batch that covers, and folds each
-prefix a probe finds not to cover into its pieces, so later probes sort and
-merge only the arcs after it. The sweep checks whole batches on Z/nZ and
-halves the covering one until a probe leaves sites vacant; then the arcs
-after that prefix (or the whole batch, after earlier batches) are mapped
-onto the torus Z/VZ of the V sites still vacant, the arcs that reach none of
-them dropped, and a merge of Z/VZ finishes the search in O(arcs kept) work.
-The arc-by-arc reference engines that tests compare both against live in
-``tests/oracles.py``.
+merges it in, with O(arcs) work and no n-sized buffer; it asks whether open
+arcs cover a circle of length n by the rule ``_window_covers`` /
+``_window_gaps`` that the circle model asks at length 1. ``run_to_cover``
+picks one of the two per run from the batch size, before the first draw, and
+the merge alone searches the covering batch for its shortest covering prefix:
+the sweep hands it the arcs after a probe that leaves sites vacant, mapped
+onto the torus of those sites. The arc-by-arc reference engines that tests
+compare both against live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +61,8 @@ class CoverResult:
 
 def _check_sweep_size(n: int) -> None:
     # reach[] holds p + L[p] <= 2n - 1 in int32; checked before allocating
-    if n < 1:
-        raise ValueError(f"torus size {n} must be >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"torus size {n} must be an integer >= 1")
     if n > SWEEP_N_LIMIT:
         raise ValueError(f"torus size {n} exceeds {SWEEP_N_LIMIT}, the int32 limit of the coverage sweep")
 
@@ -168,6 +164,30 @@ def _merge_open(lo: np.ndarray, hi: np.ndarray):
     return lo[first], reach[last]
 
 
+def _window_covers(starts: np.ndarray, ends: np.ndarray, L, seam) -> bool:
+    """Whether open arcs (starts[i], ends[i]) and the seam piece (L - 1, seam) cover a circle of length L.
+
+    The circle is read on its window [L, 2L]: circle point q is the window
+    point L + q, and 2L stands for L. The arcs are sorted by start, each start
+    in [L - 1, 2L]. The arcs that cross the seam all hold the point L, so they
+    are one piece, seam = max(L, w) with w their farthest end on the unshifted
+    circle; here seam < 2L.
+    """
+    reach = np.maximum.accumulate(ends)
+    # the first arc whose reach gets to 2L; the arcs after it do not matter
+    k = int(reach.searchsorted(2 * L))
+    # each start against the reach before it, the seam piece's included
+    return k < reach.size and starts[0] < seam and not (starts[1 : k + 1] >= np.maximum(reach[:k], seam)).any()
+
+
+def _window_gaps(starts: np.ndarray, ends: np.ndarray, L, seam):
+    """The closed gaps [lo[i], hi[i]] that the pieces of ``_window_covers`` leave in [L, 2L], sorted and disjoint."""
+    gs, ge = _merge_open(np.append(L - 1, starts), np.append(seam, ends))
+    # the seam piece heads the first group and 2L is the point L: every gap starts in [L, 2L)
+    keep = ge < 2 * L
+    return ge[keep], np.append(gs[1:], 2 * L)[keep]
+
+
 def _shortest_prefix(covers, B: int) -> int:
     """Smallest k in [1, B] with covers(lo, k), for covers monotone in k and the first B arcs covering.
 
@@ -189,66 +209,47 @@ class _SparseCover:
 
     The one shortest-covering-prefix search: ``run_to_cover`` uses it on
     Z/nZ for sparse batches, and the sweep hands it the arcs it maps onto
-    Z/VZ once V sites are known to stay vacant.
-
-    The sites covered by earlier arcs are held as sorted, merged,
-    non-wrapping integer pieces [start, end). Taken in order of start, a set
-    of arcs covers the torus iff its largest end reaches n and each arc starts
-    at or before the larger of the earlier arcs' largest end and the wrap term
-    (largest end - n); otherwise the site at that reach is vacant. A batch, or
-    a prefix of the covering batch that a probe finds not to cover, is folded
-    into the pieces, so each probe of the bisection sorts and merges only the
-    arcs after the last such prefix: about 2B arcs over the whole search.
+    Z/VZ once V sites are known to stay vacant. Site v is the window point
+    n + v of ``_window_covers``, and the sites u, ..., u + r - 1 are the open
+    arc (u - 1 + n, u + r + n). The pieces are the merged groups of earlier
+    arcs, with no seam piece: each probe derives it from the largest end. A
+    batch, or a prefix of the covering batch that a probe finds not to
+    cover, joins the pieces, so each probe of the bisection sorts and merges
+    only the arcs after the last such prefix: about 2B arcs over the whole
+    search.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.starts = self.ends = np.empty(0, dtype=np.int64)
 
-    def _union(self, u: np.ndarray, e: np.ndarray):
-        """The pieces and the arcs [u, e), sorted by start, as (starts, ends); the pieces are sorted already."""
-        order = np.argsort(u)
+    def _union(self, s: np.ndarray, e: np.ndarray):
+        """The pieces and the arcs (s, e), sorted by start, as (starts, ends); the pieces are sorted already."""
+        order = np.argsort(s)
         if not len(self.starts):
-            return u[order], e[order]
-        at = np.searchsorted(self.starts, u[order]) + np.arange(len(u))
-        piece = np.ones(len(self.starts) + len(u), dtype=bool)
+            return s[order], e[order]
+        at = np.searchsorted(self.starts, s[order]) + np.arange(len(s))
+        piece = np.ones(len(self.starts) + len(s), dtype=bool)
         piece[at] = False
         starts = np.empty(piece.size, dtype=np.int64)
         ends = np.empty(piece.size, dtype=np.int64)
-        starts[at], ends[at] = u[order], e[order]
+        starts[at], ends[at] = s[order], e[order]
         starts[piece], ends[piece] = self.starts, self.ends
         return starts, ends
 
-    def _covers(self, starts: np.ndarray, ends: np.ndarray) -> bool:
-        reach = np.maximum.accumulate(ends)
-        wrap = int(reach[-1]) - self.n
-        if wrap < 0:
-            return False
-        # each start against the reach before it, and the first against the wrap alone
-        return not (starts[0] > wrap or (starts[1:] > np.maximum(reach[:-1], wrap)).any())
-
-    def _fold(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Hold the union (starts, ends) that leaves a site vacant as the new pieces."""
-        n = self.n
-        wrap = int(ends.max()) - n
-        if wrap > 0:
-            starts = np.concatenate(([0], starts))
-            ends = np.concatenate(([wrap], ends))
-        # sites s <= v < e are the integers in the open (s - 1, e): pieces that
-        # touch overlap there and join, and a one-site gap keeps them apart
-        starts, self.ends = _merge_open(starts - 1, np.minimum(ends, n))
-        self.starts = starts + 1
-
     def place(self, u: np.ndarray, r: np.ndarray):
         """``_first_cover``'s place: the batch joins the pieces unless some prefix covers."""
-        e = u + r
+        s, e = u + (self.n - 1), u + (r + self.n)
+        farthest = np.maximum.accumulate(e)  # the farthest end of each prefix
 
         def covers(lo, k):
             # the arcs before lo are in the pieces; a prefix that fails joins them
-            union = self._union(u[lo:k], e[lo:k])
-            if self._covers(*union):
+            starts, ends = self._union(s[lo:k], e[lo:k])
+            # the seam piece: the farthest end less n (the group ends rise, so the last is the farthest held)
+            w = max(int(farthest[k - 1]), int(self.ends[-1]) if len(self.ends) else 0) - self.n
+            if _window_covers(starts, ends, self.n, max(self.n, w)):
                 return True
-            self._fold(*union)
+            self.starts, self.ends = _merge_open(starts, ends)
             return False
 
         return _shortest_prefix(covers, len(u)) if covers(0, len(u)) else None
@@ -368,7 +369,10 @@ def snapshot_vacant(tail: TailFunction, n: int, t: float, seed: int):
 
 def site_vacancy(tail: TailFunction, n: int, t: float, seed: int, sites) -> np.ndarray:
     """Vacancy indicators at Poisson time t for ``sites``, each taken mod n."""
-    return ~_covered_at(tail, n, t, seed)[np.asarray(sites, dtype=np.int64) % n]
+    sites = np.asarray(sites)
+    if sites.size and sites.dtype.kind not in "iu":
+        raise ValueError(f"sites must be integers, got {sites.dtype} values")  # a cast would truncate 1.7 to 1
+    return ~_covered_at(tail, n, t, seed)[sites.astype(np.int64) % n]
 
 
 # -- exact vacancy formulas ---------------------------------------------------

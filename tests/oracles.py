@@ -16,9 +16,11 @@ the stored doubles, so tests can check ``project_X`` and
 ``count_missing_lattice`` against the lattice rule at every boundary.
 
 ``vacant_bounds_reference`` is the circle's vacant set as the library merged
-it before it read one copy of the arcs: every arc twice, at x and x + 1, with
-the gaps clipped to the window [1, 2]. Tests check ``circle._vacant_bounds``
-against it bit for bit.
+it before the open-arc cover rule that the circle shares with the torus
+merge: every arc twice, at x and x + 1, with the gaps clipped to the window
+[1, 2]. Tests check ``circle._vacant_bounds``, which reads the arcs once,
+shifted, with the arcs that cross the seam as one piece, against it bit for
+bit.
 
 ``sample_radius_reference`` is the scalar inverse transform of a tail, found
 by doubling and bisection on ``TailFunction.value``; tests check the

@@ -200,7 +200,7 @@ class TestVacantSet:
     @pytest.mark.parametrize("points, pieces", [
         ([(1e-20, 1e-300), (0.0, 0.3)], ((0.0, 0.0), (1.3 - 1.0, 1.0))),
         ([(0.5, 1e-300)], ((0.0, 1.0),)),
-        ([(_SEAM_X, 1.5 * 2.0**-52)], ((2.0**-52, 1.0),)),  # empty shifted, but its seam copy covers [0, 2**-52)
+        ([(_SEAM_X, 1.5 * 2.0**-52)], ((2.0**-52, 1.0),)),  # empty shifted, but the seam piece covers [0, 2**-52)
     ])
     def test_arcs_empty_in_doubles(self, points, pieces):
         assert vacant_set(config(points)).pieces == pieces

@@ -310,6 +310,11 @@ class TestVacancyFrequency:
         gate = vacancy_gate((freq[0], joint), exact, 2000)
         assert gate.ok, gate.detail
 
+    def test_rejects_non_integer_sites(self):
+        # sites [0.9, 1.7] returned exactly the frequencies of sites [0, 1]
+        with pytest.raises(ValueError, match="sites must be integers"):
+            vacancy_frequency(parse_tail("const:1"), 100, 50.0, [0.9, 1.7], replicates=5, base_seed=5)
+
 
 class TestCLI:
     def run_cli(self, *args):

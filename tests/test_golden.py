@@ -21,6 +21,13 @@ the torus of the still-vacant sites. The merge folds each probe that leaves
 sites vacant into its pieces. The small batches come from a patched
 ``torus._default_batch`` (``oracles.batches_of``); each line hashed still
 names the batch size, None for the default.
+
+The circle's ``vacant_set`` (pieces, ``wraps``, ``total_length``) and
+``is_covered`` are pinned over 1,600 configurations of the ``shepp_pi`` grid.
+The torus merge's probes and the circle's vacant set answer through one
+open-arc cover rule (``torus._window_covers`` and ``torus._window_gaps``), so
+this digest and the ``run_to_cover`` digest pin that rule at both circle
+lengths, n and 1.
 """
 import dataclasses
 import hashlib
@@ -28,7 +35,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from arccover.circle import is_covered, sample_truncated, vacant_set
 from arccover.experiments import PRESETS, preset_config, run_experiment
+from arccover.seeding import derive_seed
 from arccover.tails import parse_tail
 from arccover.torus import run_to_cover, site_vacancy, snapshot_vacant
 
@@ -102,3 +111,21 @@ def test_run_to_cover_digest():
                         r = run_to_cover(tail, n, seed)
                     h.update(f"{spec} {n} {seed} {batch_size} {r.tau} {r.T!r} {r.max_radius}\n".encode())
     assert h.hexdigest() == RUN_TO_COVER_GOLDEN
+
+
+# vacant_set pieces, wraps and total_length, and is_covered, over the shepp_pi
+# grid at 200 seeds per (alpha, n): 1,600 configurations, where the preset
+# digest at two replicates sees 16
+CIRCLE_GOLDEN = "4e42c6b13c858ab77fdc3307db9b60ab6289c9462b05dd2884867936a7c47f05"
+
+
+def test_circle_vacant_set_digest():
+    h = hashlib.sha256()
+    for alpha in (0.1, 0.3, 0.8, 1.5):
+        for n in (100, 10_000):
+            for rep in range(200):
+                config = sample_truncated(alpha, 1.0 / n, derive_seed(6, n, rep))
+                vac = vacant_set(config)
+                h.update(np.array(vac.pieces, dtype=np.float64).tobytes())
+                h.update(f"{vac.wraps} {vac.total_length!r} {is_covered(config)}\n".encode())
+    assert h.hexdigest() == CIRCLE_GOLDEN

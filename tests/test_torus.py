@@ -166,6 +166,18 @@ class TestCoveredMask:
         with pytest.raises(ValueError, match="torus size 0"):
             call(0)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: covered_mask(n, np.array([0]), np.array([1])),
+        lambda n: run_to_cover(parse_tail("const:1"), n, seed=1),
+        lambda n: run_to_cover(parse_tail("slowlog"), n, seed=1),  # the merge alone
+        lambda n: snapshot_vacant(parse_tail("const:1"), n, 1.0, seed=1),
+        lambda n: site_vacancy(parse_tail("const:1"), n, 1.0, seed=1, sites=[0]),
+    ], ids=["covered_mask", "run_to_cover", "run_to_cover_merge", "snapshot_vacant", "site_vacancy"])
+    def test_rejects_non_integral_size(self, call):
+        # numpy's own error was a TypeError, "expected a sequence of integers"
+        with pytest.raises(ValueError, match="torus size 1000.0 must be an integer >= 1"):
+            call(1000.0)
+
 
 class TestMergeOpen:
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4)), max_size=10))
@@ -196,6 +208,32 @@ class TestMergeOpen:
         assert np.all(gs < ge) and np.all(gs[1:] > ge[:-1])
         for v in range(-1, 18):
             assert ((s <= v) & (v < e)).any() == ((gs <= v) & (v < ge)).any(), v
+
+
+class TestWindowCover:
+    @given(L=st.sampled_from((1, 3)), reach=st.integers(0, 5),
+           spans=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 12)), max_size=10))
+    @example(L=3, reach=0, spans=[])  # the seam piece (L - 1, L) alone: the whole window is one gap
+    @example(L=1, reach=0, spans=[(0, 3)])  # an arc from L - 1 holds L; none reaches 2L
+    @example(L=1, reach=1, spans=[(2, 2), (4, 1)])  # (1, 2) and (2, 2.5): 2L is the point L, held by the seam piece
+    @example(L=3, reach=4, spans=[(6, 2)])  # the first arc starts where the seam piece ends
+    @example(L=3, reach=0, spans=[(4, 2), (6, 2), (8, 4)])  # touching arcs leave their shared ends
+    @settings(max_examples=400, deadline=None)
+    def test_covers_iff_no_gaps(self, L, reach, spans):
+        # open arcs on a half-integer grid, each start in [L - 1, 2L], and a
+        # seam piece (L - 1, seam) with seam in [L, 2L)
+        s = np.array([L - 1 + min(a, 2 * L + 2) / 2 for a, _ in spans])
+        e = s + np.array([w / 2 for _, w in spans])
+        order = np.argsort(s, kind="stable")
+        starts, ends, seam = s[order], e[order], L + min(reach, 2 * L - 1) / 2
+        lo, hi = torus._window_gaps(starts, ends, L, seam)
+        assert np.all(lo <= hi) and np.all(hi[:-1] < lo[1:]) and np.all((L <= lo) & (hi <= 2 * L))
+        # each gap runs from the end of a piece to the start of the next, or to 2L
+        assert set(lo) <= {seam, *ends} and set(hi) <= {2 * L, *starts}
+        assert torus._window_covers(starts, ends, L, seam) == (lo.size == 0)
+        for p in np.arange(L, 2 * L, 0.25):
+            held = p < seam or ((starts < p) & (p < ends)).any()
+            assert held != ((lo <= p) & (p <= hi)).any(), p
 
 
 class TestShortestPrefix:
@@ -341,23 +379,24 @@ class TestRunToCover:
 
     def test_merge_folds_failed_probe(self, monkeypatch):
         # the merge folds a probe of the covering batch that leaves sites
-        # vacant into its pieces, in the middle of the batch
+        # vacant into its pieces, in the middle of the batch; a probe calls
+        # _merge_open only to fold
         tail, n = parse_tail("pow:-0.5"), 100_000
         assert torus._default_batch(tail, n) * torus.SPARSE_SITES_PER_ARC <= n
         calls = []  # [folds, result] per place
-        place, fold = torus._SparseCover.place, torus._SparseCover._fold
+        place, merge = torus._SparseCover.place, torus._merge_open
 
         def spy_place(self, u, r):
             calls.append([0, None])
             calls[-1][1] = place(self, u, r)
             return calls[-1][1]
 
-        def spy_fold(self, starts, ends):
+        def spy_merge(lo, hi):
             calls[-1][0] += 1
-            fold(self, starts, ends)
+            return merge(lo, hi)
 
         monkeypatch.setattr(torus._SparseCover, "place", spy_place)
-        monkeypatch.setattr(torus._SparseCover, "_fold", spy_fold)
+        monkeypatch.setattr(torus, "_merge_open", spy_merge)
         for seed in range(4):
             calls.clear()
             assert run_to_cover(tail, n, seed) == run_to_cover_reference(tail, n, seed), seed
@@ -391,10 +430,10 @@ class TestRunToCover:
                          min_size=1, max_size=6),
     )
     @example(n=2, batches=[[(1, 1)]])  # ends at n exactly, nothing wraps: site 0 stays vacant
-    @example(n=3, batches=[[(2, 2)], [(1, 1)]])  # a carried wrap piece [0, 1)
+    @example(n=3, batches=[[(2, 2)], [(1, 1)]])  # a held piece past 2n: the seam piece covers site 0
     @settings(max_examples=400, deadline=None)
     def test_interval_merge_matches_naive(self, n, batches):
-        # first covering arc and carried pieces of the merge against arc-by-arc placement
+        # first covering arc and held pieces of the merge against arc-by-arc placement
         sparse = torus._SparseCover(n)
         naive = NaiveCoverState(n)
         for batch in batches:
@@ -409,9 +448,12 @@ class TestRunToCover:
             assert sparse.place(u, r) == want
             if want is not None:
                 return
+            # sorted, disjoint open groups of window arcs (u - 1 + n, u + r + n);
+            # a group (s, e) covers the sites s + 1 - n, ..., e - 1 - n, mod n
             starts, ends = sparse.starts, sparse.ends
-            assert np.all(starts < ends) and np.all(starts[1:] > ends[:-1]) and (ends <= n).all()
-            assert covered_mask(n, starts, ends - starts).tolist() == naive.covered.tolist()
+            assert np.all(starts < ends) and np.all(starts[1:] >= ends[:-1])
+            assert (starts >= n - 1).all() and (ends <= 3 * n - 1).all()
+            assert covered_mask(n, starts + 1 - n, ends - starts - 1).tolist() == naive.covered.tolist()
 
     @pytest.mark.parametrize("spec", ["slowlog", "pow:-0.5"])
     def test_sparse_workload_never_sweeps(self, spec, monkeypatch):
@@ -539,3 +581,9 @@ class TestSnapshot:
                 count, idx = snapshot_vacant(f, n, t, seed=seed)
                 vac = site_vacancy(f, n, t, seed=seed, sites=sites)
                 assert vac.tolist() == np.isin(sites % n, idx).tolist(), (spec, t, seed)
+
+    @pytest.mark.parametrize("sites", [[0.9, 1.7], np.array([0.0, 1.0])])
+    def test_site_vacancy_rejects_non_integer_sites(self, sites):
+        # np.asarray(sites, dtype=np.int64) read [0.9, 1.7] as sites [0, 1]
+        with pytest.raises(ValueError, match="sites must be integers"):
+            site_vacancy(parse_tail("const:1"), 100, 50.0, seed=1, sites=sites)
