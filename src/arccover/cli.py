@@ -51,39 +51,42 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v.strip()) for v in text.split(",") if v.strip())
 
 
-# config-file key, which is also the attribute of the flag that overrides it
-# -> (ExperimentConfig field, parser of the file value)
-_CONFIG_FIELDS = {
-    "phase": ("phase", str),
-    "tail": ("tail", str),
-    "n": ("n_list", _int_list),
-    "replicates": ("replicates", int),
-    "seed": ("base_seed", int),
-    "alpha": ("alpha_list", _float_list),
-    "out": ("output_path", str),
+# key, the attribute of its flag -> (flag, argparse options), and where the --config file may set the key,
+# also (ExperimentConfig field, parser of the file value). Each subcommand takes only the flags it reads.
+_FLAGS = {
+    "config": ("--config", dict(help="key = value config file; flags override its values")),
+    "phase": ("--phase", dict(choices=COVER_PHASES), "phase", str),
+    "tail": ("--tail", dict(help="const:<c> geom:<q> logpow:<b> pow:<p> slowlog"), "tail", str),
+    "n": ("--n", dict(type=int, action="append", help="torus size (repeatable)"), "n_list", _int_list),
+    "replicates": ("--replicates", dict(type=int), "replicates", int),
+    "seed": ("--seed", dict(type=int, help=f"base seed (default {DEFAULT_BASE_SEED})"), "base_seed", int),
+    "alpha": ("--alpha", dict(type=float, action="append"), "alpha_list", _float_list),
+    "out": ("--out", dict(help="output path stem"), "output_path", str),
+    "workers": ("--workers", dict(type=int, default=1)),
+    "assert": ("--assert", dict(dest="assert_gates", action="store_true", help="exit 3 when the gate fails")),
 }
 
 
-def _experiment_config(args: argparse.Namespace, preset: str | None = None,
-                       phase: str | None = None) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace, preset: str | None) -> ExperimentConfig:
     """The preset's fields, overridden by the --config file, overridden by the flags given.
 
-    ``phase`` is the one phase a subcommand runs; it is the default and any
-    other is rejected.
+    Every subcommand but cover runs its preset's phase alone and rejects any other.
     """
     fields = {**PRESETS[preset], "output_path": f"results/{preset}"} if preset else {}
+    phase = fields.get("phase")
+    settable = {key: row[2:] for key, row in _FLAGS.items() if len(row) > 2}
     config_path = getattr(args, "config", None)
     raw = _read_config_file(config_path) if config_path else {}
-    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+    unknown = sorted(set(raw) - set(settable))
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}; known keys are {sorted(_CONFIG_FIELDS)}")
-    for key, (field, parse) in _CONFIG_FIELDS.items():
+        raise ValueError(f"unknown config keys {unknown}; known keys are {sorted(settable)}")
+    for key, (field, parse) in settable.items():
         flag = getattr(args, key, None)
         if flag is not None:
             fields[field] = tuple(flag) if isinstance(flag, list) else flag
         elif key in raw:
             fields[field] = parse(raw[key])
-    if phase is not None and fields.setdefault("phase", phase) != phase:
+    if args.command != "cover" and fields["phase"] != phase:
         raise ValueError(f"{args.command} runs the {phase} phase, not {fields['phase']!r}")
     return ExperimentConfig(**fields)
 
@@ -162,7 +165,7 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    config = _experiment_config(args, "shepp_pi" if args.preset else None, phase="shepp_pi")
+    config = _experiment_config(args, "shepp_pi")
     paths, summary = run_experiment(config, workers=args.workers)
     print(f"wrote {paths['csv']} {paths['summary']}")
     for key, group in sorted(summary["groups"].items()):
@@ -232,24 +235,9 @@ def _cmd_karamata(args) -> int:
     return EXIT_OK
 
 
-# settable flags; each subcommand takes only those it reads
-_FLAGS = {
-    "config": ("--config", dict(help="key = value config file; flags override its values")),
-    "phase": ("--phase", dict(choices=COVER_PHASES)),
-    "tail": ("--tail", dict(help="const:<c> geom:<q> logpow:<b> pow:<p> slowlog")),
-    "n": ("--n", dict(type=int, action="append", help="torus size (repeatable)")),
-    "replicates": ("--replicates", dict(type=int)),
-    "seed": ("--seed", dict(type=int, help=f"base seed (default {DEFAULT_BASE_SEED})")),
-    "alpha": ("--alpha", dict(type=float, action="append")),
-    "out": ("--out", dict(help="output path stem")),
-    "workers": ("--workers", dict(type=int, default=1)),
-    "assert": ("--assert", dict(dest="assert_gates", action="store_true", help="exit 3 when the gate fails")),
-}
-
-
 def _add_flags(parser, names, required=()):
     for name in names:
-        flag, kwargs = _FLAGS[name]
+        flag, kwargs, *_ = _FLAGS[name]
         parser.add_argument(flag, required=name in required, **kwargs)
 
 
@@ -269,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pi = sub.add_parser("pi", help="Monte Carlo covering probability pi_hat")
     _add_flags(p_pi, ("config", "n", "replicates", "seed", "alpha", "out", "workers"))
-    p_pi.add_argument("--preset", action="store_true", help="use the shepp_pi preset")
     p_pi.set_defaults(fn=_cmd_pi)
 
     p_dim = sub.add_parser("dimension", help="conditional vacancy exponent ln Z / ln n")

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gates import SANDWICH_SLACK
+from .gates import KS_RULES, SANDWICH_SLACK
 from .seeding import PRNG_NAME, derive_seed
-from .stats import EmpiricalDistribution, coupon_collector_sample, exp_cdf, gumbel_cdf, ks_distance, preexp_bounds
+from .stats import EmpiricalDistribution, coupon_collector_sample, ks_distance, preexp_bounds
 from .tails import TailFunction, parse_tail, star_probe, tail_prefix_total, triangle_probe
 from .torus import CoverResult, run_to_cover, site_vacancy
 from .circle import count_missing_lattice, sample_truncated, vacant_set
@@ -85,8 +85,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.phase} phase needs alpha_list")
         if self.phase == "dimension" and any(not 0.0 < a < 1.0 for a in self.alpha_list):
             raise ValueError("dimension phase needs alpha in (0,1)")
-        if self.phase == "dimension" and self.n_list[0] < 2:
-            raise ValueError(f"dimension phase needs n >= 2 (its exponent divides by ln n), got {self.n_list[0]}")
+        if self.phase in ("compact", "dimension") and self.n_list[0] < 2:
+            raise ValueError(f"{self.phase} phase needs n >= 2 (it divides by ln n), got {self.n_list[0]}")
         labels = [label for label, _ in _groups(self)]
         if len(set(labels)) < len(labels):
             raise ValueError(f"alpha_list {self.alpha_list} repeats a group label: {labels}")
@@ -154,8 +154,6 @@ _GRIDS = {
     "bstar": np.round(np.arange(0.0, 2.001, 0.05), 10),
 }
 
-_REFERENCE = {"gumbel": gumbel_cdf, "calibration": gumbel_cdf, "exponential": exp_cdf}
-
 
 def _groups(config: ExperimentConfig) -> list[tuple[str, object]]:
     """(family label, task argument) of each group in output order: one group
@@ -189,23 +187,19 @@ def _summarize_group(config: ExperimentConfig, n: int, scaled: np.ndarray) -> di
         "std": float(np.std(scaled, ddof=1)) if scaled.size > 1 else 0.0,
         "quantiles": _quantiles(scaled),
     }
-    grid = _GRIDS.get(config.phase)
-    if grid is not None:
-        emp = EmpiricalDistribution.from_samples(scaled)
-        info["ecdf"] = {f"{g:g}": float(emp.ecdf(g)) for g in grid}
-        ref = _REFERENCE.get(config.phase)
-        if ref is not None:
-            ks = ks_distance(emp, ref)
-            info["ks"] = {"D": ks.D, "threshold_5pct": ks.threshold_5pct}
+    emp = EmpiricalDistribution.from_samples(scaled)
+    info["ecdf"] = {f"{g:g}": float(emp.ecdf(g)) for g in _GRIDS[config.phase]}
+    if config.phase in KS_RULES:
+        ks = ks_distance(emp, KS_RULES[config.phase][0])
+        info["ks"] = {"D": ks.D, "threshold_5pct": ks.threshold_5pct}
     if config.phase == "preexp":
-        info["bounds"] = _preexp_bound_check(parse_tail(config.tail), scaled)
+        info["bounds"] = _preexp_bound_check(parse_tail(config.tail), emp)
     if config.phase == "compact":
         info["tightness"] = _compact_diagnostics(parse_tail(config.tail), n)
     return info
 
 
-def _preexp_bound_check(tail: TailFunction, scaled: np.ndarray) -> dict:
-    emp = EmpiricalDistribution.from_samples(scaled)
+def _preexp_bound_check(tail: TailFunction, emp: EmpiricalDistribution) -> dict:
     out = {}
     for alpha in (0.5, 1.0, 2.0):
         lower, upper = preexp_bounds(alpha, tail.param)

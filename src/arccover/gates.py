@@ -1,12 +1,16 @@
 """Acceptance gates, each threshold and clause stated once; read by ``--assert`` and the acceptance tests.
 
 A gate reads a run's summary (the vacancy gate, measured and exact frequencies) and returns a GateResult.
+``KS_RULES[phase]`` is (reference law, level, trend rule); the summary writes a KS distance for exactly these phases.
 """
 import math
 import operator
 from dataclasses import dataclass
 
-KS_RULES = {"gumbel": (0.05, operator.le), "calibration": (0.05, operator.le), "exponential": (0.15, operator.lt)}
+from .stats import exp_cdf, gumbel_cdf
+
+KS_RULES = {"gumbel": (gumbel_cdf, 0.05, operator.le), "calibration": (gumbel_cdf, 0.05, operator.le),
+            "exponential": (exp_cdf, 0.15, operator.lt)}
 SANDWICH_SLACK = 0.03  # on either side of the bounds, in the summary's within_003 flag
 MIN_ACCEPTED = 30  # non-covered configurations behind a conditional mean exponent
 EXPONENT_BAND = 0.1
@@ -30,7 +34,7 @@ def _group_n(key: str) -> int:
 
 def ks_gate(summary: dict) -> GateResult:
     """KS at the top n within its level; with several n, also no worse (le) or better (lt) than at the smallest."""
-    level, improves = KS_RULES[summary["phase"]]
+    _, level, improves = KS_RULES[summary["phase"]]
     by_n = sorted(summary["groups"].items(), key=lambda kv: _group_n(kv[0]))
     (small_key, small), (large_key, large) = by_n[0], by_n[-1]
     d = large["ks"]["D"]

@@ -322,25 +322,35 @@ def rv_limit_probe(tail: TailFunction, t: float, x: int) -> float:
     return tail.value(int(x * t)) / fx
 
 
-def cf_estimate(tail: TailFunction, n: int) -> float:
-    """F_n / (n f(n)); converges to 1/(1+p) for pow:p and to 1 for slowly varying tails."""
+def _probe_f(tail: TailFunction, n: int, beta: float = 1.0) -> float:
+    """f(n) for a probe over [n^beta, n] that divides by it; refuses n < 2, beta outside (0, 1] and f(n) = 0."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
     fn = tail.value(n)
     if fn == 0.0:
         raise ValueError(f"tail exhausted: f({n}) = 0")
+    return fn
+
+
+def cf_estimate(tail: TailFunction, n: int) -> float:
+    """F_n / (n f(n)); converges to 1/(1+p) for pow:p and to 1 for slowly varying tails."""
+    fn = _probe_f(tail, n)
     return tail_prefix_total(tail, n) / (n * fn)
 
 
 def star_probe(tail: TailFunction, n: int, beta: float, points: int = 64) -> float:
     """sup of x f(x) / (n f(n)) over x in [n^beta, n], sampled geometrically."""
+    fn = _probe_f(tail, n, beta)
     lo = max(2, int(n**beta))
     xs = np.unique(np.geomspace(lo, n, points).astype(np.int64))
-    vals = xs * tail.values(xs) / (n * tail.value(n))
+    vals = xs * tail.values(xs) / (n * fn)
     return float(vals.max())
 
 
 def triangle_probe(tail: TailFunction, n: int, beta: float) -> float:
     """F_{n^beta} / (f(n) n ln n)."""
+    fn = _probe_f(tail, n, beta)
     k = max(1, int(n**beta))
-    return tail_prefix_total(tail, k) / (tail.value(n) * n * math.log(n))
+    return tail_prefix_total(tail, k) / (fn * n * math.log(n))

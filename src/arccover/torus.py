@@ -181,7 +181,10 @@ def _window_covers(starts: np.ndarray, ends: np.ndarray, L, seam) -> bool:
 
 
 def _window_gaps(starts: np.ndarray, ends: np.ndarray, L, seam):
-    """The closed gaps [lo[i], hi[i]] that the pieces of ``_window_covers`` leave in [L, 2L], sorted and disjoint."""
+    """The closed gaps [lo[i], hi[i]] that the pieces of ``_window_covers`` leave in [L, 2L], sorted and disjoint.
+
+    Exact only for arcs that start at L or later: one that starts in [L - 1, L) holds L, yet the last gap ends at 2L.
+    """
     gs, ge = _merge_open(np.append(L - 1, starts), np.append(seam, ends))
     # the seam piece heads the first group and 2L is the point L: every gap starts in [L, 2L)
     keep = ge < 2 * L

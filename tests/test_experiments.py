@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -25,6 +26,7 @@ from arccover.tails import parse_tail
 from arccover.torus import CoverResult, pair_vacancy_exact, run_to_cover, vacancy_probability_exact
 
 from oracles import derive_seeds
+from test_golden import GOLDEN, REPLICATES
 
 
 class TestDeriveSeed:
@@ -459,13 +461,15 @@ class TestCLI:
         ("snapshot", "--tail", "const:1", "--n", "100", "--replicates", "3"),
         ("snapshot", "--tail", "slowlog", "--n", "100", "--alpha", "0.5", "--replicates", "3"),
         ("shepp-series", "--sequence", "c_over_n:nan"),
+        ("cover", "--phase", "compact", "--tail", "logpow:1", "--n", "1", "--replicates", "2"),
     ])
     def test_bad_input_exits_2(self, args):
         res = self.run_cli(*args)
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: ")
 
-    @pytest.mark.parametrize("phase, tail, n", [("compact", "const:1", "100"), ("preexp", "logpow:-0.5", "1000")])
+    @pytest.mark.parametrize("phase, tail, n", [("compact", "const:1", "100"), ("preexp", "logpow:-0.5", "1000"),
+                                                ("compact", "logpow:1", "1")])
     def test_phase_tail_mismatch_runs_nothing(self, tmp_path, monkeypatch, phase, tail, n):
         # refused before any replicate runs: no cover time is drawn and no file is written
         monkeypatch.chdir(tmp_path)
@@ -473,6 +477,14 @@ class TestCLI:
         argv = ["cover", "--phase", phase, "--tail", tail, "--n", n, "--replicates", "3", "--out", "run/x"]
         assert cli.main(argv) == 2
         assert not any(tmp_path.iterdir())
+
+    def test_pi_runs_its_preset(self, tmp_path, monkeypatch):
+        # pi starts from the shepp_pi preset, its output path included, so it writes the preset's golden bytes
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["pi", "--replicates", str(REPLICATES), "--workers", "2"]) == 0
+        out = tmp_path / "results" / "shepp_pi"
+        data = out.with_suffix(".csv").read_bytes() + b"\0" + out.with_suffix(".summary.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN["shepp_pi"]
 
     def test_dimension_command(self, tmp_path):
         res = self.run_cli("dimension", "--alpha", "0.5", "--n", "500", "--replicates", "150",

@@ -14,7 +14,9 @@ from arccover.tails import (
     karamata_ratio,
     parse_tail,
     rv_limit_probe,
+    star_probe,
     tail_prefix_total,
+    triangle_probe,
 )
 
 from oracles import sample_radius_reference, tail_prefix_total_reference
@@ -358,6 +360,37 @@ class TestDiagnostics:
     def test_cf_exhausted(self):
         with pytest.raises(ValueError, match="tail exhausted"):
             cf_estimate(parse_tail("const:1"), 10)
+
+    @pytest.mark.parametrize("spec", ["pow:-0.5", "pow:-0.9", "slowlog"])
+    @pytest.mark.parametrize("n, beta", [(2, 0.5), (100, 0.5), (10**6, 0.5), (1000, 1.0)])
+    def test_star_probe_is_one_where_x_f_rises(self, spec, n, beta):
+        # x f(x) rises, so the sup over [n^beta, n] is read at x = n
+        assert star_probe(parse_tail(spec), n, beta) == 1.0
+
+    def test_star_probe_reads_from_n_to_the_beta(self):
+        # x 2^(1 - x) falls from x = 2 on, so the sup is read at x = 100^0.5 = 10
+        assert star_probe(parse_tail("geom:0.5"), 100, 0.5) == pytest.approx(10 * 0.5**9 / (100 * 0.5**99), rel=1e-12)
+
+    def test_triangle_probe_values(self):
+        # F_k / (f(n) n ln n) with k = n^beta: F_100 of pow:-0.5 by direct summation, F_4 of geom:0.5 in closed form
+        direct = math.fsum(j**-0.5 for j in range(1, 101))
+        assert triangle_probe(parse_tail("pow:-0.5"), 10**4, 0.5) == pytest.approx(direct / (100 * math.log(10**4)),
+                                                                                  rel=1e-12)
+        assert triangle_probe(parse_tail("geom:0.5"), 16, 0.5) == pytest.approx(1.875 / (0.5**15 * 16 * math.log(16)),
+                                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("probe", [star_probe, triangle_probe])
+    @pytest.mark.parametrize("spec, n, beta, match", [
+        ("const:1", 100, 0.5, "tail exhausted"),
+        ("pow:-0.5", 1, 0.5, "n must be >= 2"),
+        ("pow:-0.5", 1000, 1.5, "beta"),
+        ("pow:-0.5", 1000, 0.0, "beta"),
+        ("pow:-0.5", 1000, -0.5, "beta"),
+        ("pow:-0.5", 1000, float("nan"), "beta"),
+    ])
+    def test_probe_refuses(self, probe, spec, n, beta, match):
+        with pytest.raises(ValueError, match=match):
+            probe(parse_tail(spec), n, beta)
 
     def test_prefix_total_closed_forms(self):
         # geometric prefix has an exact closed form to cross-check the summation
